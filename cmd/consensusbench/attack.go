@@ -11,37 +11,18 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 )
 
-// attackFlags is the -attack* flag surface, collected so run() can
-// validate the combination up front — the same shape as faultFlags and
-// desFlags: any flag set makes the mode active, and an active mode
-// rejects every conflicting run shape before a single evaluation runs.
+// attackFlags are the attack subcommand's own flags.
 type attackFlags struct {
-	spec    string // -attack: protocols to search, comma-separated or "all"
-	jsonOut string // -attack-json: write attack-record/v1 artifacts
-	replay  string // -attack-replay: replay a committed artifact
-	n       int    // -attack-n
-	budget  int    // -attack-budget
-	trials  int    // -attack-trials
-	faults  bool   // -attack-faults
+	spec    string // -protocols: protocols to search, comma-separated or "all"
+	jsonOut string // -json: write attack-record/v1 artifacts
+	n       int    // -n
+	budget  int    // -budget
+	faults  bool   // -faults
 }
 
-func (f *attackFlags) active() bool {
-	return f.spec != "" || f.jsonOut != "" || f.replay != "" ||
-		f.n != 0 || f.budget != 0 || f.trials != 0 || f.faults
-}
-
-// validate parses and checks every -attack-* value, returning the
-// resolved protocol list for search mode (empty in replay mode).
-func (f *attackFlags) validate() ([]string, error) {
-	if f.replay != "" {
-		if f.spec != "" || f.jsonOut != "" || f.n != 0 || f.budget != 0 || f.trials != 0 || f.faults {
-			return nil, fmt.Errorf("-attack-replay cannot be combined with -attack/-attack-json/-attack-n/-attack-budget/-attack-trials/-attack-faults: a replay takes its whole configuration from the artifact")
-		}
-		return nil, nil
-	}
-	if f.spec == "" {
-		return nil, fmt.Errorf("-attack-json/-attack-n/-attack-budget/-attack-trials/-attack-faults require -attack")
-	}
+// validate parses and checks every flag value, returning the resolved
+// protocol list.
+func (f *attackFlags) validate(trials int) ([]string, error) {
 	var protocols []string
 	if f.spec == "all" {
 		protocols = search.Protocols()
@@ -56,28 +37,28 @@ func (f *attackFlags) validate() ([]string, error) {
 				continue
 			}
 			if !known[s] {
-				return nil, fmt.Errorf("-attack: unknown protocol %q (want all, %s)", s, strings.Join(search.Protocols(), ", "))
+				return nil, fmt.Errorf("-protocols: unknown protocol %q (want all, %s)", s, strings.Join(search.Protocols(), ", "))
 			}
 			protocols = append(protocols, s)
 		}
 		if len(protocols) == 0 {
-			return nil, fmt.Errorf("-attack: no protocols in %q", f.spec)
+			return nil, fmt.Errorf("-protocols: no protocols in %q", f.spec)
 		}
 	}
 	if f.n < 0 || f.n == 1 || f.n > 64 {
-		return nil, fmt.Errorf("-attack-n: %d outside [2, 64]", f.n)
+		return nil, fmt.Errorf("-n: %d outside [2, 64]", f.n)
 	}
 	if f.budget < 0 {
-		return nil, fmt.Errorf("-attack-budget: %d must be positive", f.budget)
+		return nil, fmt.Errorf("-budget: %d must be positive", f.budget)
 	}
-	if f.trials < 0 {
-		return nil, fmt.Errorf("-attack-trials: %d must be positive", f.trials)
+	if trials < 0 {
+		return nil, fmt.Errorf("-trials: %d must be positive", trials)
 	}
 	return protocols, nil
 }
 
 // attackArtifactPath derives the per-protocol artifact path from the
-// -attack-json base: "dir/ATTACK.json" becomes "dir/ATTACK_sifter.json".
+// -json base: "dir/ATTACK.json" becomes "dir/ATTACK_sifter.json".
 // With a single protocol the base path is used as given.
 func attackArtifactPath(base, protocol string, multi bool) string {
 	if !multi {
@@ -87,31 +68,41 @@ func attackArtifactPath(base, protocol string, multi bool) string {
 	return strings.TrimSuffix(base, ext) + "_" + protocol + ext
 }
 
-// runAttackSearch executes the flag-driven adversary search: one search
-// per requested protocol, a result table, and optionally one committed
-// attack-record/v1 artifact per protocol. Deterministic in (seed, flags);
-// -parallel only changes wall-clock time.
-func runAttackSearch(out io.Writer, af *attackFlags, seed uint64, quick bool, parallel int, format string) error {
-	protocols, err := af.validate()
+// runAttack is the attack subcommand: one search per requested
+// protocol, a result table, and optionally one committed attack-record/v1
+// artifact per protocol. Deterministic in (seed, flags); -parallel only
+// changes wall-clock time.
+func runAttack(args []string, out io.Writer) error {
+	fs, sh := newFlagSet("attack", seedFlag|quickFlag|formatFlag|parallelFlag|trialsFlag)
+	var af attackFlags
+	fs.StringVar(&af.spec, "protocols", "all", "protocols to search, comma-separated (all, sifter, priority)")
+	fs.StringVar(&af.jsonOut, "json", "", "write an attack-record/v1 artifact per searched protocol (multi-protocol runs insert _<protocol> before the extension)")
+	fs.IntVar(&af.n, "n", 0, "processes per searched schedule (0 = default 8, quick 4)")
+	fs.IntVar(&af.budget, "budget", 0, "candidate evaluations per search (0 = default 64, quick 16)")
+	fs.BoolVar(&af.faults, "faults", false, "let the search add stutter/stall fault-schedule components to candidates")
+	if err := sh.parse(fs, args); err != nil {
+		return err
+	}
+	protocols, err := af.validate(sh.trials)
 	if err != nil {
 		return err
 	}
-	n, budget, trials := af.n, af.budget, af.trials
+	n, budget, trials := af.n, af.budget, sh.trials
 	if n == 0 {
 		n = 8
-		if quick {
+		if sh.quick {
 			n = 4
 		}
 	}
 	if budget == 0 {
 		budget = 64
-		if quick {
+		if sh.quick {
 			budget = 16
 		}
 	}
 	if trials == 0 {
 		trials = 4
-		if quick {
+		if sh.quick {
 			trials = 2
 		}
 	}
@@ -131,11 +122,11 @@ func runAttackSearch(out io.Writer, af *attackFlags, seed uint64, quick bool, pa
 		res, err := search.Search(search.Config{
 			Protocol:    protocol,
 			N:           n,
-			Seed:        seed,
+			Seed:        sh.seed,
 			Budget:      budget,
 			EvalTrials:  trials,
 			Faults:      af.faults,
-			Parallelism: parallel,
+			Parallelism: sh.parallel,
 		})
 		if err != nil {
 			return fmt.Errorf("attack search %s: %w", protocol, err)
@@ -158,14 +149,7 @@ func runAttackSearch(out io.Writer, af *attackFlags, seed uint64, quick bool, pa
 		}
 	}
 
-	switch format {
-	case "markdown":
-		fmt.Fprintln(out, tbl.Markdown())
-	case "tsv":
-		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
-	default:
-		fmt.Fprintln(out, tbl.Text())
-	}
+	render(out, sh.format, &tbl)
 	return nil
 }
 
@@ -175,24 +159,24 @@ func runAttackSearch(out io.Writer, af *attackFlags, seed uint64, quick bool, pa
 func runAttackReplay(out io.Writer, path string, parallel int) error {
 	rec, err := search.LoadRecord(path)
 	if err != nil {
-		return fmt.Errorf("attack-replay: %w", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	want, err := rec.Encode()
 	if err != nil {
-		return fmt.Errorf("attack-replay: %w", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	fresh, err := search.Replay(rec, parallel)
 	if err != nil {
-		return fmt.Errorf("attack-replay: %w", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	got, err := fresh.Encode()
 	if err != nil {
-		return fmt.Errorf("attack-replay: %w", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	if !bytes.Equal(got, want) {
-		return fmt.Errorf("attack-replay: %s did not replay byte-identically: the search or its schedule family changed; regenerate with -attack -attack-json", path)
+		return fmt.Errorf("replay: %s did not replay byte-identically: the search or its schedule family changed; regenerate with consensusbench attack -json", path)
 	}
-	fmt.Fprintf(out, "attack-replay: %s replayed byte-identically (protocol=%s n=%d evaluations=%d best=%.2f whitebox=%.2f)\n",
+	fmt.Fprintf(out, "replay: %s replayed byte-identically (protocol=%s n=%d evaluations=%d best=%.2f whitebox=%.2f)\n",
 		path, rec.Protocol, rec.N, rec.Evaluations, rec.Confirm.StepsMean, rec.WhiteBox.StepsMean)
 	return nil
 }

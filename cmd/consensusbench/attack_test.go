@@ -9,48 +9,49 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/attack/search"
 )
 
-// TestAttackFlagValidation: every contradictory or malformed -attack*
-// combination must fail fast with a descriptive error, pair by pair
-// against every other run shape — a full search spends thousands of
-// simulated consensus runs, so a typo must not burn that budget first.
+// TestAttackFlagValidation: every malformed attack flag, and every flag
+// of another mode, must fail fast with a descriptive error — a full
+// search spends thousands of simulated consensus runs, so a typo must not
+// burn that budget first. Another mode's flag, in its old prefixed
+// spelling or its subcommand spelling, is an unknown-flag error.
 func TestAttackFlagValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
 		want string // substring of the error
 	}{
-		{"des conflict", []string{"-attack", "all", "-des"}, "cannot be combined"},
-		{"des-json conflict", []string{"-attack", "all", "-des-json", "d.json"}, "cannot be combined"},
-		{"des-trials conflict", []string{"-attack", "all", "-des-trials", "3"}, "cannot be combined"},
-		{"fault conflict", []string{"-attack", "all", "-fault", "all"}, "cannot be combined"},
-		{"fault-trials conflict", []string{"-attack", "all", "-fault-trials", "3"}, "cannot be combined"},
-		{"fault-replay conflict", []string{"-attack", "all", "-fault-replay", "r.json"}, "cannot be combined"},
-		{"bench-json conflict", []string{"-attack", "all", "-bench-json", "b.json"}, "cannot be combined"},
-		{"bench-baseline conflict", []string{"-attack", "all", "-bench-baseline", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-json conflict", []string{"-attack", "all", "-bench-concurrent-json", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-baseline conflict", []string{"-attack", "all", "-bench-concurrent-baseline", "b.json"}, "cannot be combined"},
-		{"experiment conflict", []string{"-attack", "all", "-experiment", "E19"}, "cannot be combined"},
-		{"all conflict", []string{"-attack", "all", "-all"}, "cannot be combined"},
-		{"list conflict", []string{"-attack", "all", "-list"}, "cannot be combined"},
-		{"replay with attack", []string{"-attack-replay", "r.json", "-attack", "all"}, "cannot be combined"},
-		{"replay with json", []string{"-attack-replay", "r.json", "-attack-json", "a.json"}, "cannot be combined"},
-		{"replay with n", []string{"-attack-replay", "r.json", "-attack-n", "8"}, "cannot be combined"},
-		{"replay with budget", []string{"-attack-replay", "r.json", "-attack-budget", "8"}, "cannot be combined"},
-		{"replay with trials", []string{"-attack-replay", "r.json", "-attack-trials", "2"}, "cannot be combined"},
-		{"replay with faults", []string{"-attack-replay", "r.json", "-attack-faults"}, "cannot be combined"},
-		{"orphan attack-json", []string{"-attack-json", "a.json"}, "require -attack"},
-		{"orphan attack-n", []string{"-attack-n", "8"}, "require -attack"},
-		{"orphan attack-budget", []string{"-attack-budget", "32"}, "require -attack"},
-		{"orphan attack-trials", []string{"-attack-trials", "2"}, "require -attack"},
-		{"orphan attack-faults", []string{"-attack-faults"}, "require -attack"},
-		{"unknown protocol", []string{"-attack", "paxos"}, "unknown protocol"},
-		{"empty protocols", []string{"-attack", " , "}, "no protocols"},
-		{"n too small", []string{"-attack", "sifter", "-attack-n", "1"}, "outside [2, 64]"},
-		{"n too large", []string{"-attack", "sifter", "-attack-n", "65"}, "outside [2, 64]"},
-		{"negative budget", []string{"-attack", "sifter", "-attack-budget", "-4"}, "attack-budget"},
-		{"negative trials", []string{"-attack", "sifter", "-attack-trials", "-1"}, "attack-trials"},
-		{"bad format", []string{"-attack", "sifter", "-format", "xml"}, "unknown format"},
-		{"replay missing file", []string{"-attack-replay", "no/such/record.json"}, "attack-replay"},
+		{"unknown protocol", []string{"attack", "-protocols", "paxos"}, "unknown protocol"},
+		{"empty protocols", []string{"attack", "-protocols", " , "}, "no protocols"},
+		{"n too small", []string{"attack", "-protocols", "sifter", "-n", "1"}, "outside [2, 64]"},
+		{"n too large", []string{"attack", "-protocols", "sifter", "-n", "65"}, "outside [2, 64]"},
+		{"negative budget", []string{"attack", "-protocols", "sifter", "-budget", "-4"}, "-budget"},
+		{"negative trials", []string{"attack", "-protocols", "sifter", "-trials", "-1"}, "-trials"},
+		{"bad format", []string{"attack", "-protocols", "sifter", "-format", "xml"}, "unknown format"},
+		{"replay missing file", []string{"replay", "no/such/record.json"}, "replay"},
+		{"des conflict", []string{"attack", "-latency", "exp:1ms"}, unknownFlag},
+		{"des-json conflict", []string{"attack", "-des-json", "d.json"}, unknownFlag},
+		{"des-trials conflict", []string{"attack", "-des-trials", "3"}, unknownFlag},
+		{"fault conflict", []string{"attack", "-kinds", "all"}, unknownFlag},
+		{"fault-trials conflict", []string{"attack", "-fault-trials", "3"}, unknownFlag},
+		{"fault-replay conflict", []string{"attack", "-fault-replay", "r.json"}, unknownFlag},
+		{"bench-json conflict", []string{"attack", "-bench-json", "b.json"}, unknownFlag},
+		{"bench-baseline conflict", []string{"attack", "-bench-baseline", "b.json"}, unknownFlag},
+		{"bench-concurrent-json conflict", []string{"attack", "-bench-concurrent-json", "b.json"}, unknownFlag},
+		{"bench-concurrent-baseline conflict", []string{"attack", "-bench-concurrent-baseline", "b.json"}, unknownFlag},
+		{"experiment conflict", []string{"attack", "-experiment", "E19"}, unknownFlag},
+		{"all conflict", []string{"attack", "-all"}, unknownFlag},
+		{"list conflict", []string{"attack", "-list"}, unknownFlag},
+		{"replay with attack", []string{"replay", "r.json", "attack"}, "exactly one artifact path"},
+		{"replay with json", []string{"replay", "-json", "a.json", "r.json"}, unknownFlag},
+		{"replay with n", []string{"replay", "-n", "8", "r.json"}, unknownFlag},
+		{"replay with budget", []string{"replay", "-budget", "8", "r.json"}, unknownFlag},
+		{"replay with trials", []string{"replay", "-trials", "2", "r.json"}, unknownFlag},
+		{"replay with faults", []string{"replay", "-faults", "r.json"}, unknownFlag},
+		{"orphan attack-json", []string{"exp", "-json", "a.json"}, unknownFlag},
+		{"orphan attack-n", []string{"exp", "-n", "8"}, unknownFlag},
+		{"orphan attack-budget", []string{"exp", "-budget", "32"}, unknownFlag},
+		{"orphan attack-trials", []string{"load", "-trials", "2"}, unknownFlag},
+		{"orphan attack-faults", []string{"exp", "-faults"}, unknownFlag},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -68,15 +69,15 @@ func TestAttackFlagValidation(t *testing.T) {
 
 // TestAttackSearchSmokeAndRecord runs a tiny two-protocol search through
 // the CLI, checks the table, and verifies each written artifact decodes
-// and replays byte-identically through the -attack-replay path.
+// and replays byte-identically through the replay subcommand.
 func TestAttackSearchSmokeAndRecord(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "attack.json")
 	var b strings.Builder
 	err := run([]string{
-		"-attack", "all",
+		"attack",
 		"-quick",
-		"-attack-budget", "8",
-		"-attack-json", base,
+		"-budget", "8",
+		"-json", base,
 	}, &b)
 	if err != nil {
 		t.Fatalf("search failed: %v\n%s", err, b.String())
@@ -102,7 +103,7 @@ func TestAttackSearchSmokeAndRecord(t *testing.T) {
 				protocol, rec.Confirm.StepsMean, rec.WhiteBox.StepsMean)
 		}
 		var rb strings.Builder
-		if err := run([]string{"-attack-replay", path}, &rb); err != nil {
+		if err := run([]string{"replay", path}, &rb); err != nil {
 			t.Fatalf("replay of %s failed: %v\n%s", path, err, rb.String())
 		}
 		if !strings.Contains(rb.String(), "replayed byte-identically") {
@@ -116,7 +117,7 @@ func TestAttackSearchSmokeAndRecord(t *testing.T) {
 func TestAttackSingleProtocolPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "one.json")
 	var b strings.Builder
-	err := run([]string{"-attack", "sifter", "-quick", "-attack-budget", "6", "-attack-json", path}, &b)
+	err := run([]string{"attack", "-protocols", "sifter", "-quick", "-budget", "6", "-json", path}, &b)
 	if err != nil {
 		t.Fatalf("search failed: %v\n%s", err, b.String())
 	}
@@ -146,7 +147,7 @@ func TestCommittedAttackArtifactsReplay(t *testing.T) {
 					rec.Confirm.StepsMean, rec.WhiteBox.StepsMean)
 			}
 			var b strings.Builder
-			if err := run([]string{"-attack-replay", path}, &b); err != nil {
+			if err := run([]string{"replay", path}, &b); err != nil {
 				t.Fatalf("committed artifact rotted: %v\n%s", err, b.String())
 			}
 		})

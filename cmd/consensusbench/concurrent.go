@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/memory"
@@ -12,14 +11,10 @@ import (
 
 // concurrentRecord is the machine-readable record written by
 // -bench-concurrent-json. Its entry list uses the same shape and JSON key
-// as benchRecord so -bench-concurrent-baseline can parse a committed
-// record with the ordinary benchRecord decoder.
+// as benchRecord so compareBaseline reads both alike. No seed drives the
+// sweep, so the header carries none.
 type concurrentRecord struct {
-	Schema           string             `json:"schema"` // "conciliator-concurrent-bench/v1"
-	GOOS             string             `json:"goos"`
-	GOARCH           string             `json:"goarch"`
-	NumCPU           int                `json:"num_cpu"`
-	GOMAXPROCS       int                `json:"gomaxprocs"`
+	recordHeader                        // schema "conciliator-concurrent-bench/v1"
 	OpsPerProc       int                `json:"ops_per_proc"`
 	Runs             int                `json:"runs"`
 	TotalWallSeconds float64            `json:"total_wall_seconds"`
@@ -82,16 +77,7 @@ func concurrentStepsEntries() []benchEntry {
 				totalSteps += res.TotalSteps
 			}
 			r.Close()
-			secs := time.Since(start).Seconds()
-			entry := benchEntry{
-				ID:          fmt.Sprintf("concurrent-steps/%s/n=%d", substrate.name, n),
-				WallSeconds: secs,
-				Steps:       totalSteps,
-			}
-			if secs > 0 {
-				entry.StepsPerSec = float64(totalSteps) / secs
-			}
-			entries = append(entries, entry)
+			entries = append(entries, newBenchEntry(fmt.Sprintf("concurrent-steps/%s/n=%d", substrate.name, n), time.Since(start), totalSteps, 0))
 		}
 	}
 	return entries
@@ -102,11 +88,7 @@ func concurrentStepsEntries() []benchEntry {
 func buildConcurrentRecord(out io.Writer) concurrentRecord {
 	start := time.Now()
 	rec := concurrentRecord{
-		Schema:          "conciliator-concurrent-bench/v1",
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		recordHeader:    newHeader("conciliator-concurrent-bench/v1", 0),
 		OpsPerProc:      concurrentOpsPerProc,
 		Runs:            concurrentStepsRuns,
 		Experiments:     concurrentStepsEntries(),

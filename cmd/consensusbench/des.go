@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,29 +13,18 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// desFlags is the -des* flag surface, collected so run() can validate
-// the combination up front — the same shape as faultFlags: any flag set
-// makes the mode active, and an active mode rejects every conflicting
-// run shape before a single trial executes.
+// desFlags are the des subcommand's own flags, kept as given so the
+// record can echo the crash and restart specs verbatim.
 type desFlags struct {
-	run        bool
 	jsonOut    string
 	ns         string
 	protocols  string
-	trials     int
 	latency    string
 	loss       float64
 	partitions string
 	crash      string
 	restart    string
 	repros     string
-	replay     string
-}
-
-func (f *desFlags) active() bool {
-	return f.run || f.jsonOut != "" || f.ns != "" || f.protocols != "" ||
-		f.trials != 0 || f.latency != "" || f.loss != 0 || f.partitions != "" ||
-		f.crash != "" || f.restart != "" || f.repros != "" || f.replay != ""
 }
 
 // desDefaultNs is the committed E18 sweep: the regime where log log n
@@ -59,12 +46,9 @@ type desSweep struct {
 	trials   int
 }
 
-// validate parses and checks every -des-* value, returning the resolved
+// validate parses and checks every flag value, returning the resolved
 // sweep inputs.
-func (f *desFlags) validate() (sw desSweep, err error) {
-	if !f.run {
-		return sw, fmt.Errorf("-des-json/-des-n/-des-protocols/-des-trials/-des-latency/-des-loss/-des-partition/-des-crash/-des-restart/-des-fault-repros require -des")
-	}
+func (f *desFlags) validate(trials int) (sw desSweep, err error) {
 	sw.ns = desDefaultNs
 	if f.ns != "" {
 		sw.ns = nil
@@ -75,12 +59,12 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 			}
 			n, perr := strconv.Atoi(s)
 			if perr != nil || n < 1 {
-				return sw, fmt.Errorf("-des-n: bad process count %q", s)
+				return sw, fmt.Errorf("-n: bad process count %q", s)
 			}
 			sw.ns = append(sw.ns, n)
 		}
 		if len(sw.ns) == 0 {
-			return sw, fmt.Errorf("-des-n: no process counts in %q", f.ns)
+			return sw, fmt.Errorf("-n: no process counts in %q", f.ns)
 		}
 	}
 	sw.protocols = des.Protocols()
@@ -96,25 +80,25 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 				continue
 			}
 			if !known[s] {
-				return sw, fmt.Errorf("-des-protocols: unknown protocol %q (want %s)", s, strings.Join(des.Protocols(), ", "))
+				return sw, fmt.Errorf("-protocols: unknown protocol %q (want %s)", s, strings.Join(des.Protocols(), ", "))
 			}
 			sw.protocols = append(sw.protocols, s)
 		}
 		if len(sw.protocols) == 0 {
-			return sw, fmt.Errorf("-des-protocols: no protocols in %q", f.protocols)
+			return sw, fmt.Errorf("-protocols: no protocols in %q", f.protocols)
 		}
 	}
 	if f.latency != "" {
 		sw.net.Latency, err = des.ParseLatency(f.latency)
 		if err != nil {
-			return sw, fmt.Errorf("-des-latency: %w", err)
+			return sw, fmt.Errorf("-latency: %w", err)
 		}
 	}
 	// The >=/<= shape rejects NaN too: `loss < 0 || loss > 0.99` silently
 	// accepts NaN (every comparison is false), which would then corrupt
 	// every Bernoulli draw of the sweep.
 	if !(f.loss >= 0 && f.loss <= 0.99) {
-		return sw, fmt.Errorf("-des-loss: %g out of range [0, 0.99]", f.loss)
+		return sw, fmt.Errorf("-loss: %g out of range [0, 0.99]", f.loss)
 	}
 	sw.net.Loss = f.loss
 	if f.partitions != "" {
@@ -125,22 +109,22 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 			}
 			p, perr := des.ParsePartition(s)
 			if perr != nil {
-				return sw, fmt.Errorf("-des-partition: %w", perr)
+				return sw, fmt.Errorf("-partition: %w", perr)
 			}
 			sw.net.Partitions = append(sw.net.Partitions, p)
 		}
 	}
 	if f.crash == "" {
 		if f.restart != "" {
-			return sw, fmt.Errorf("-des-restart requires -des-crash: a restart variant without a crash schedule does nothing")
+			return sw, fmt.Errorf("-restart requires -crash: a restart variant without a crash schedule does nothing")
 		}
 		if f.repros != "" {
-			return sw, fmt.Errorf("-des-fault-repros requires -des-crash: repro artifacts record crash schedules")
+			return sw, fmt.Errorf("-repros requires -crash: repro artifacts record crash schedules")
 		}
 	} else {
 		sw.chaos, err = des.ParseChaosSpec(f.crash)
 		if err != nil {
-			return sw, fmt.Errorf("-des-crash: %w", err)
+			return sw, fmt.Errorf("-crash: %w", err)
 		}
 		switch f.restart {
 		case "", "durable":
@@ -153,12 +137,12 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 			sw.chaos.ProcRestart, sw.chaos.ServerRestart = des.RestartAmnesiac, des.RestartAmnesiac
 			sw.weakened = true
 		default:
-			return sw, fmt.Errorf("-des-restart: unknown variant %q (want durable, amnesiac, or amnesiac-server)", f.restart)
+			return sw, fmt.Errorf("-restart: unknown variant %q (want durable, amnesiac, or amnesiac-server)", f.restart)
 		}
 	}
-	sw.trials = f.trials
+	sw.trials = trials
 	if sw.trials < 0 {
-		return sw, fmt.Errorf("-des-trials: %d must be positive", sw.trials)
+		return sw, fmt.Errorf("-trials: %d must be positive", sw.trials)
 	}
 	if sw.trials == 0 {
 		sw.trials = desDefaultTrials
@@ -169,28 +153,27 @@ func (f *desFlags) validate() (sw desSweep, err error) {
 	// fail, which is a finding, not a flag error).
 	probe := des.Config{N: 1, Protocol: sw.protocols[0], Net: sw.net, Seed: 1}
 	if _, perr := des.Run(probe); perr != nil {
-		return sw, fmt.Errorf("-des: %w", perr)
+		return sw, fmt.Errorf("des: %w", perr)
 	}
 	if sw.chaos.Active() {
 		chk := des.Config{N: 2, Protocol: sw.protocols[0], Net: sw.net, Chaos: sw.chaos, Seed: 1}
 		if _, perr := chk.ChaosSchedule(); perr != nil {
-			return sw, fmt.Errorf("-des-crash: %w", perr)
+			return sw, fmt.Errorf("-crash: %w", perr)
 		}
 	}
 	return sw, nil
 }
 
-// desRecord is the machine-readable record written by -des-json.
+// desRecord is the machine-readable record written by -json.
 type desRecord struct {
-	Schema     string   `json:"schema"` // "conciliator-des/v1"
-	Seed       uint64   `json:"seed"`
-	Trials     int      `json:"trials"`
-	Latency    string   `json:"latency"`
-	Loss       float64  `json:"loss"`
-	Partitions []string `json:"partitions,omitempty"`
-	Crash      string   `json:"crash,omitempty"`
-	Restart    string   `json:"restart,omitempty"`
-	Rows       []desRow `json:"rows"`
+	recordHeader          // schema "conciliator-des/v1"
+	Trials       int      `json:"trials"`
+	Latency      string   `json:"latency"`
+	Loss         float64  `json:"loss"`
+	Partitions   []string `json:"partitions,omitempty"`
+	Crash        string   `json:"crash,omitempty"`
+	Restart      string   `json:"restart,omitempty"`
+	Rows         []desRow `json:"rows"`
 }
 
 type desRow struct {
@@ -220,32 +203,41 @@ type desRow struct {
 	RunErrors     int     `json:"run_errors,omitempty"`
 }
 
-// runDESSweep executes the flag-driven DES sweep: for each (n, protocol)
-// cell it runs `trials` seeds derived from the master seed, prints one
-// table row, and optionally writes the JSON record. Deterministic in
-// (seed, flags).
+// runDES is the des subcommand: for each (n, protocol) cell it runs
+// -trials seeds derived from the master seed, prints one table row, and
+// optionally writes the JSON record. Deterministic in (seed, flags).
 //
 // Under a chaos schedule with atomic semantics (durable server) any
 // safety violation fails the sweep; under the weakened amnesiac-server
 // variant violations and run errors are findings, reported in the table
-// and — with -des-fault-repros — shrunk into replayable artifacts.
-func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error {
-	sw, err := df.validate()
+// and — with -repros — shrunk into replayable artifacts.
+func runDES(args []string, out io.Writer) error {
+	fs, sh := newFlagSet("des", seedFlag|formatFlag|trialsFlag)
+	var df desFlags
+	fs.StringVar(&df.jsonOut, "json", "", "write the sweep's conciliator-des/v1 JSON record to this path")
+	fs.StringVar(&df.ns, "n", "", "comma-separated process counts (default 1000,10000,100000)")
+	fs.StringVar(&df.protocols, "protocols", "", "comma-separated protocols (default sifter,sifter-half,priority-max)")
+	fs.StringVar(&df.latency, "latency", "", "latency distribution kind:mean, kinds fixed|uniform|exp (default exp:1ms)")
+	fs.Float64Var(&df.loss, "loss", 0, "per-message loss probability in [0, 0.99]")
+	fs.StringVar(&df.partitions, "partition", "", "comma-separated partitions from:until:frac (e.g. 5ms:25ms:0.3)")
+	fs.StringVar(&df.crash, "crash", "", "crash schedule proc:<rate>,server:<windows> (e.g. proc:0.2,server:1)")
+	fs.StringVar(&df.restart, "restart", "", "restart variant: durable, amnesiac, or amnesiac-server (default durable)")
+	fs.StringVar(&df.repros, "repros", "", "write shrunk des-fault-repro/v1 artifacts for violating chaos runs into this directory")
+	if err := sh.parse(fs, args); err != nil {
+		return err
+	}
+	sw, err := df.validate(sh.trials)
 	if err != nil {
 		return err
 	}
-	if seed == 0 {
-		seed = 20120716 // the documented default master seed
-	}
 
 	rec := desRecord{
-		Schema:  "conciliator-des/v1",
-		Seed:    seed,
-		Trials:  sw.trials,
-		Latency: sw.net.Latency.String(),
-		Loss:    sw.net.Loss,
-		Crash:   df.crash,
-		Restart: df.restart,
+		recordHeader: newHeader("conciliator-des/v1", sh.seed),
+		Trials:       sw.trials,
+		Latency:      sw.net.Latency.String(),
+		Loss:         sw.net.Loss,
+		Crash:        df.crash,
+		Restart:      df.restart,
 	}
 	if sw.net.Latency.Mean <= 0 {
 		rec.Latency = "exp:1ms" // the engine default, applied per run
@@ -270,7 +262,7 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 	// Per-trial seeds come from a named fork of the master seed, so the
 	// sweep composition (which cells run, in what order) cannot change
 	// any cell's results.
-	seedRng := xrand.New(seed).ForkNamed(0xde5)
+	seedRng := xrand.New(sh.seed).ForkNamed(0xde5)
 	for _, n := range sw.ns {
 		for _, protocol := range sw.protocols {
 			cellSeeds := make([]uint64, sw.trials)
@@ -350,23 +342,11 @@ func runDESSweep(out io.Writer, df *desFlags, seed uint64, format string) error 
 		}
 	}
 
-	switch format {
-	case "markdown":
-		fmt.Fprintln(out, tbl.Markdown())
-	case "tsv":
-		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
-	default:
-		fmt.Fprintln(out, tbl.Text())
-	}
+	render(out, sh.format, &tbl)
 
 	if df.jsonOut != "" {
-		data, merr := json.MarshalIndent(rec, "", "  ")
-		if merr != nil {
-			return fmt.Errorf("encoding DES record: %w", merr)
-		}
-		data = append(data, '\n')
-		if werr := os.WriteFile(df.jsonOut, data, 0o644); werr != nil {
-			return fmt.Errorf("writing DES record: %w", werr)
+		if err := writeJSON(df.jsonOut, rec); err != nil {
+			return fmt.Errorf("writing DES record: %w", err)
 		}
 	}
 	if atomicViolations > 0 {

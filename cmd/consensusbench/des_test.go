@@ -9,56 +9,57 @@ import (
 	"testing"
 )
 
-// TestDESFlagValidation: every contradictory or malformed -des*
-// combination must fail fast with a descriptive error — a full DES sweep
-// runs for minutes at n=100k, so a typo must not burn that budget first.
+// TestDESFlagValidation: every malformed des flag, and every flag of
+// another mode, must fail fast with a descriptive error — a full DES
+// sweep runs for minutes at n=100k, so a typo must not burn that budget
+// first.
 func TestDESFlagValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
 		want string // substring of the error
 	}{
-		{"bench-json conflict", []string{"-des", "-bench-json", "b.json"}, "cannot be combined"},
-		{"bench-baseline conflict", []string{"-des", "-bench-baseline", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-json conflict", []string{"-des", "-bench-concurrent-json", "b.json"}, "cannot be combined"},
-		{"bench-concurrent-baseline conflict", []string{"-des", "-bench-concurrent-baseline", "b.json"}, "cannot be combined"},
-		{"experiment conflict", []string{"-des", "-experiment", "E18"}, "cannot be combined"},
-		{"all conflict", []string{"-des", "-all"}, "cannot be combined"},
-		{"list conflict", []string{"-des", "-list"}, "cannot be combined"},
-		{"fault conflict", []string{"-des", "-fault", "all"}, "cannot be combined"},
-		{"fault-trials conflict", []string{"-des", "-fault-trials", "3"}, "cannot be combined"},
-		{"orphan des-json", []string{"-des-json", "d.json"}, "require -des"},
-		{"orphan des-n", []string{"-des-n", "1000"}, "require -des"},
-		{"orphan des-loss", []string{"-des-loss", "0.5"}, "require -des"},
-		{"bad n", []string{"-des", "-des-n", "0"}, "bad process count"},
-		{"junk n", []string{"-des", "-des-n", "many"}, "bad process count"},
-		{"empty n", []string{"-des", "-des-n", " , "}, "no process counts"},
-		{"unknown protocol", []string{"-des", "-des-protocols", "paxos"}, "unknown protocol"},
-		{"negative trials", []string{"-des", "-des-trials", "-2"}, "des-trials"},
-		{"loss too big", []string{"-des", "-des-loss", "1.5"}, "out of range"},
-		{"bad latency kind", []string{"-des", "-des-latency", "normal:1ms"}, "latency"},
-		{"bad latency mean", []string{"-des", "-des-latency", "exp:zzz"}, "latency"},
-		{"bad partition", []string{"-des", "-des-partition", "5ms+25ms+0.3"}, "partition"},
-		{"partition never heals", []string{"-des", "-des-partition", "25ms:5ms:0.3"}, "heal"},
-		{"partition frac zero", []string{"-des", "-des-partition", "5ms:25ms:0"}, "fraction"},
-		{"bad format", []string{"-des", "-format", "xml"}, "unknown format"},
-		{"orphan des-crash", []string{"-des-crash", "proc:0.2"}, "require -des"},
-		{"orphan des-restart", []string{"-des-restart", "durable"}, "require -des"},
-		{"orphan des-fault-repros", []string{"-des-fault-repros", "out"}, "require -des"},
-		{"restart without crash", []string{"-des", "-des-restart", "amnesiac"}, "requires -des-crash"},
-		{"repros without crash", []string{"-des", "-des-fault-repros", "out"}, "requires -des-crash"},
-		{"crash rate too big", []string{"-des", "-des-crash", "proc:1.5"}, "crash rate"},
-		{"crash rate NaN", []string{"-des", "-des-crash", "proc:NaN"}, "crash rate"},
-		{"bad crash windows", []string{"-des", "-des-crash", "server:0"}, "window count"},
-		{"bad crash target", []string{"-des", "-des-crash", "router:1"}, "unknown crash target"},
-		{"bad crash horizon", []string{"-des", "-des-crash", "server:1,horizon:-3ms"}, "horizon"},
-		{"bad crash downtime", []string{"-des", "-des-crash", "server:1,down:zzz"}, "downtime"},
-		{"empty crash spec", []string{"-des", "-des-crash", " , "}, "empty crash spec"},
-		{"bad restart variant", []string{"-des", "-des-crash", "proc:0.2", "-des-restart", "reincarnate"}, "unknown variant"},
-		{"loss NaN", []string{"-des", "-des-loss", "NaN"}, "out of range"},
-		{"replay with sweep flag", []string{"-des", "-des-fault-replay", "r.json"}, "cannot be combined"},
-		{"replay with crash flag", []string{"-des-fault-replay", "r.json", "-des-crash", "proc:0.2"}, "cannot be combined"},
-		{"replay missing file", []string{"-des-fault-replay", "no-such-repro.json"}, "no-such-repro"},
+		{"bad n", []string{"des", "-n", "0"}, "bad process count"},
+		{"junk n", []string{"des", "-n", "many"}, "bad process count"},
+		{"empty n", []string{"des", "-n", " , "}, "no process counts"},
+		{"unknown protocol", []string{"des", "-protocols", "paxos"}, "unknown protocol"},
+		{"negative trials", []string{"des", "-trials", "-2"}, "-trials"},
+		{"loss too big", []string{"des", "-loss", "1.5"}, "out of range"},
+		{"bad latency kind", []string{"des", "-latency", "normal:1ms"}, "latency"},
+		{"bad latency mean", []string{"des", "-latency", "exp:zzz"}, "latency"},
+		{"bad partition", []string{"des", "-partition", "5ms+25ms+0.3"}, "partition"},
+		{"partition never heals", []string{"des", "-partition", "25ms:5ms:0.3"}, "heal"},
+		{"partition frac zero", []string{"des", "-partition", "5ms:25ms:0"}, "fraction"},
+		{"bad format", []string{"des", "-format", "xml"}, "unknown format"},
+		{"restart without crash", []string{"des", "-restart", "amnesiac"}, "requires -crash"},
+		{"repros without crash", []string{"des", "-repros", "out"}, "requires -crash"},
+		{"crash rate too big", []string{"des", "-crash", "proc:1.5"}, "crash rate"},
+		{"crash rate NaN", []string{"des", "-crash", "proc:NaN"}, "crash rate"},
+		{"bad crash windows", []string{"des", "-crash", "server:0"}, "window count"},
+		{"bad crash target", []string{"des", "-crash", "router:1"}, "unknown crash target"},
+		{"bad crash horizon", []string{"des", "-crash", "server:1,horizon:-3ms"}, "horizon"},
+		{"bad crash downtime", []string{"des", "-crash", "server:1,down:zzz"}, "downtime"},
+		{"empty crash spec", []string{"des", "-crash", " , "}, "empty crash spec"},
+		{"bad restart variant", []string{"des", "-crash", "proc:0.2", "-restart", "reincarnate"}, "unknown variant"},
+		{"loss NaN", []string{"des", "-loss", "NaN"}, "out of range"},
+		{"bench-json conflict", []string{"des", "-bench-json", "b.json"}, unknownFlag},
+		{"bench-baseline conflict", []string{"des", "-bench-baseline", "b.json"}, unknownFlag},
+		{"bench-concurrent-json conflict", []string{"des", "-bench-concurrent-json", "b.json"}, unknownFlag},
+		{"bench-concurrent-baseline conflict", []string{"des", "-bench-concurrent-baseline", "b.json"}, unknownFlag},
+		{"experiment conflict", []string{"des", "-experiment", "E18"}, unknownFlag},
+		{"all conflict", []string{"des", "-all"}, unknownFlag},
+		{"list conflict", []string{"des", "-list"}, unknownFlag},
+		{"fault conflict", []string{"des", "-kinds", "all"}, unknownFlag},
+		{"fault-trials conflict", []string{"des", "-fault-trials", "3"}, unknownFlag},
+		{"orphan des-json", []string{"exp", "-json", "d.json"}, unknownFlag},
+		{"orphan des-n", []string{"exp", "-n", "1000"}, unknownFlag},
+		{"orphan des-loss", []string{"mc", "-loss", "0.5"}, unknownFlag},
+		{"orphan des-crash", []string{"attack", "-crash", "proc:0.2"}, unknownFlag},
+		{"orphan des-restart", []string{"fault", "-restart", "durable"}, unknownFlag},
+		{"orphan des-fault-repros", []string{"exp", "-repros", "out"}, unknownFlag},
+		{"replay with sweep flag", []string{"replay", "-protocols", "sifter", "r.json"}, unknownFlag},
+		{"replay with crash flag", []string{"replay", "-crash", "proc:0.2", "r.json"}, unknownFlag},
+		{"replay missing file", []string{"replay", "no-such-repro.json"}, "no-such-repro"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -78,11 +79,11 @@ func TestDESSweepSmokeAndRecord(t *testing.T) {
 	recPath := filepath.Join(t.TempDir(), "des.json")
 	var b strings.Builder
 	err := run([]string{
-		"-des",
-		"-des-n", "64,128",
-		"-des-protocols", "sifter,priority-max",
-		"-des-trials", "2",
-		"-des-json", recPath,
+		"des",
+		"-n", "64,128",
+		"-protocols", "sifter,priority-max",
+		"-trials", "2",
+		"-json", recPath,
 	}, &b)
 	if err != nil {
 		t.Fatalf("sweep failed: %v\n%s", err, b.String())
@@ -125,13 +126,13 @@ func TestDESChaosSweepSmoke(t *testing.T) {
 	recPath := filepath.Join(t.TempDir(), "chaos.json")
 	var b strings.Builder
 	err := run([]string{
-		"-des",
-		"-des-n", "32",
-		"-des-protocols", "sifter",
-		"-des-trials", "3",
-		"-des-crash", "proc:0.25,server:1",
-		"-des-restart", "amnesiac",
-		"-des-json", recPath,
+		"des",
+		"-n", "32",
+		"-protocols", "sifter",
+		"-trials", "3",
+		"-crash", "proc:0.25,server:1",
+		"-restart", "amnesiac",
+		"-json", recPath,
 	}, &b)
 	if err != nil {
 		t.Fatalf("chaos sweep failed: %v\n%s", err, b.String())
@@ -171,19 +172,19 @@ func TestDESChaosSweepSmoke(t *testing.T) {
 
 // TestDESFaultReproSaveAndReplay drives the whole artifact loop through
 // the CLI: a weakened amnesiac-server sweep positioned in the violating
-// regime saves a shrunk des-fault-repro/v1 artifact, and -des-fault-replay
+// regime saves a shrunk des-fault-repro/v1 artifact, and replay
 // reproduces its recorded violations byte-for-byte.
 func TestDESFaultReproSaveAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
 	err := run([]string{
-		"-des",
-		"-des-n", "16",
-		"-des-protocols", "sifter",
-		"-des-trials", "20",
-		"-des-crash", "server:2,horizon:48ms,down:2ms",
-		"-des-restart", "amnesiac-server",
-		"-des-fault-repros", dir,
+		"des",
+		"-n", "16",
+		"-protocols", "sifter",
+		"-trials", "20",
+		"-crash", "server:2,horizon:48ms,down:2ms",
+		"-restart", "amnesiac-server",
+		"-repros", dir,
 	}, &b)
 	if err != nil {
 		t.Fatalf("weakened sweep failed: %v\n%s", err, b.String())
@@ -193,7 +194,7 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 		t.Fatalf("no fault repro saved (err=%v); sweep output:\n%s", err, b.String())
 	}
 	var r strings.Builder
-	if err := run([]string{"-des-fault-replay", matches[0]}, &r); err != nil {
+	if err := run([]string{"replay", matches[0]}, &r); err != nil {
 		t.Fatalf("replay of %s failed: %v\n%s", matches[0], err, r.String())
 	}
 	if !strings.Contains(r.String(), "byte-identically") {
@@ -211,7 +212,7 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 	if err := os.WriteFile(badPath, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-des-fault-replay", badPath}, io.Discard); err == nil {
+	if err := run([]string{"replay", badPath}, io.Discard); err == nil {
 		t.Error("tampered artifact replayed cleanly")
 	}
 }
@@ -219,7 +220,7 @@ func TestDESFaultReproSaveAndReplay(t *testing.T) {
 // TestDESSweepReplaysByteIdentically is the CLI-level determinism
 // contract: the same seed and flags must render the same bytes.
 func TestDESSweepReplaysByteIdentically(t *testing.T) {
-	args := []string{"-des", "-des-n", "96", "-des-trials", "2", "-des-loss", "0.1", "-seed", "7"}
+	args := []string{"des", "-n", "96", "-trials", "2", "-loss", "0.1", "-seed", "7"}
 	var a, b strings.Builder
 	if err := run(args, &a); err != nil {
 		t.Fatal(err)
@@ -229,5 +230,17 @@ func TestDESSweepReplaysByteIdentically(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("same seed and flags rendered different tables:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestCommittedDESFaultReproReplays: the committed des-fault-repro/v1
+// artifact at the repo root still reproduces through replay.
+func TestCommittedDESFaultReproReplays(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"replay", filepath.Join("..", "..", "DES_FAULT_REPRO_server_amnesia.json")}, &b); err != nil {
+		t.Fatalf("committed artifact rotted: %v\n%s", err, b.String())
+	}
+	if !strings.Contains(b.String(), "byte-identically") {
+		t.Errorf("replay output missing confirmation:\n%s", b.String())
 	}
 }

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -14,49 +11,31 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/sched"
 )
 
-// faultFlags is the -fault* flag surface, collected so run() can
-// validate the combination up front before any work happens.
+// faultFlags are the fault subcommand's own flags.
 type faultFlags struct {
-	spec    string // -fault: comma-separated fault kinds, or "all"
-	trials  int    // -fault-trials
-	n       int    // -fault-n
-	scheds  string // -fault-sched: comma-separated sched kind names
-	stutter int    // -fault-stutter: max stutter/stall length and staleness depth
-	jsonOut string // -fault-json
-	repros  string // -fault-repros
-	shrink  int    // -fault-shrink
-	replay  string // -fault-replay
+	spec    string // -kinds: comma-separated fault kinds, or "all"
+	n       int    // -n
+	scheds  string // -sched: comma-separated sched kind names
+	stutter int    // -stutter: max stutter/stall length and staleness depth
+	jsonOut string // -json
+	repros  string // -repros
+	shrink  int    // -shrink
 }
 
-// active reports whether any fault-mode flag was set.
-func (f *faultFlags) active() bool {
-	return f.spec != "" || f.replay != "" || f.trials != 0 || f.n != 0 ||
-		f.scheds != "" || f.stutter != 0 || f.jsonOut != "" || f.repros != ""
-}
-
-// validate rejects bad flag combinations before any trial runs. It
-// returns the parsed matrix axes for the sweep.
-func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault, kinds []sched.Kind, err error) {
-	if f.replay != "" {
-		if f.spec != "" || f.trials != 0 || f.n != 0 || f.scheds != "" || f.stutter != 0 {
-			return nil, nil, nil, fmt.Errorf("-fault-replay replays a recorded artifact and cannot be combined with sweep flags (-fault, -fault-trials, -fault-n, -fault-sched, -fault-stutter)")
-		}
-		return nil, nil, nil, nil
-	}
-	if f.spec == "" {
-		return nil, nil, nil, fmt.Errorf("fault flags require -fault <kinds> or -fault-replay <artifact> (e.g. -fault all, -fault stutter,safe)")
-	}
-	if f.trials < 0 {
-		return nil, nil, nil, fmt.Errorf("-fault-trials must be non-negative, got %d", f.trials)
+// validate rejects bad flag values before any trial runs. It returns the
+// parsed matrix axes for the sweep.
+func (f *faultFlags) validate(trials int) (sems []fault.Semantics, procs []fault.ProcFault, kinds []sched.Kind, err error) {
+	if trials < 0 {
+		return nil, nil, nil, fmt.Errorf("-trials must be non-negative, got %d", trials)
 	}
 	if f.n < 0 {
-		return nil, nil, nil, fmt.Errorf("-fault-n must be non-negative, got %d", f.n)
+		return nil, nil, nil, fmt.Errorf("-n must be non-negative, got %d", f.n)
 	}
 	if f.stutter < 0 {
-		return nil, nil, nil, fmt.Errorf("-fault-stutter must be non-negative, got %d", f.stutter)
+		return nil, nil, nil, fmt.Errorf("-stutter must be non-negative, got %d", f.stutter)
 	}
 	if f.shrink < 0 {
-		return nil, nil, nil, fmt.Errorf("-fault-shrink must be non-negative, got %d", f.shrink)
+		return nil, nil, nil, fmt.Errorf("-shrink must be non-negative, got %d", f.shrink)
 	}
 	for _, tok := range strings.Split(f.spec, ",") {
 		tok = strings.TrimSpace(tok)
@@ -73,14 +52,14 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 			} else if sm, ok := fault.SemanticsByName(tok); ok {
 				sems = append(sems, sm)
 			} else {
-				return nil, nil, nil, fmt.Errorf("unknown fault kind %q in -fault (want all, %s, %s, %s, %s, %s, %s)",
+				return nil, nil, nil, fmt.Errorf("unknown fault kind %q in -kinds (want all, %s, %s, %s, %s, %s, %s)",
 					tok, fault.ProcStutter, fault.ProcStall, fault.ProcCrashRecover,
 					fault.SemAtomic, fault.SemRegular, fault.SemSafe)
 			}
 		}
 	}
 	if len(sems) == 0 && len(procs) == 0 {
-		return nil, nil, nil, fmt.Errorf("-fault lists no fault kinds")
+		return nil, nil, nil, fmt.Errorf("-kinds lists no fault kinds")
 	}
 	// Naming only process faults sweeps them against every register
 	// semantics, and vice versa: each axis defaults to "all" when the
@@ -103,28 +82,25 @@ func (f *faultFlags) validate() (sems []fault.Semantics, procs []fault.ProcFault
 				for _, kk := range sched.Kinds() {
 					names = append(names, kk.String())
 				}
-				return nil, nil, nil, fmt.Errorf("unknown schedule kind %q in -fault-sched (want %s)", tok, strings.Join(names, ", "))
+				return nil, nil, nil, fmt.Errorf("unknown schedule kind %q in -sched (want %s)", tok, strings.Join(names, ", "))
 			}
 			kinds = append(kinds, k)
 		}
 		if len(kinds) == 0 {
-			return nil, nil, nil, fmt.Errorf("-fault-sched lists no schedule kinds")
+			return nil, nil, nil, fmt.Errorf("-sched lists no schedule kinds")
 		}
 	}
 	return sems, procs, kinds, nil
 }
 
-// faultReport is the machine-readable record written by -fault-json.
+// faultReport is the machine-readable record written by -json.
 type faultReport struct {
-	Schema      string           `json:"schema"` // "conciliator-fault-report/v1"
-	Seed        uint64           `json:"seed"`
-	N           int              `json:"n"`
-	Trials      int              `json:"trials"`
-	Shrink      int              `json:"shrink_budget"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
-	WallSeconds float64          `json:"wall_seconds"`
-	Cells       []faultCellEntry `json:"cells"`
+	recordHeader                  // schema "conciliator-fault-report/v1"
+	N            int              `json:"n"`
+	Trials       int              `json:"trials"`
+	Shrink       int              `json:"shrink_budget"`
+	WallSeconds  float64          `json:"wall_seconds"`
+	Cells        []faultCellEntry `json:"cells"`
 }
 
 type faultCellEntry struct {
@@ -140,20 +116,33 @@ type faultCellEntry struct {
 	ReproPaths []string       `json:"repro_paths,omitempty"`
 }
 
-// runFaultSweep executes the fault matrix and reports. The exit
-// contract mirrors the nightly job's needs: violations in
-// atomic-semantics cells (the paper's own model, where monitors must
+// runFault is the fault subcommand: it executes the fault matrix and
+// reports. The exit contract mirrors the nightly job's needs: violations
+// in atomic-semantics cells (the paper's own model, where monitors must
 // stay silent) fail the run; violations in weakened-register cells are
 // findings and do not.
-func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) error {
-	sems, procs, kinds, err := ff.validate()
+func runFault(args []string, out io.Writer) error {
+	fs, sh := newFlagSet("fault", seedFlag|quickFlag|parallelFlag|trialsFlag)
+	var ff faultFlags
+	fs.StringVar(&ff.spec, "kinds", "all", "fault kinds to sweep, comma-separated: all, stutter, stall, crash-recovery, atomic, regular, safe")
+	fs.IntVar(&ff.n, "n", 0, "processes per faulted trial (0 = default 8)")
+	fs.StringVar(&ff.scheds, "sched", "", "schedule kinds to sweep, comma-separated (default: all kinds)")
+	fs.IntVar(&ff.stutter, "stutter", 0, "max stutter/stall length and staleness depth per fault event (0 = default)")
+	fs.StringVar(&ff.jsonOut, "json", "", "write a JSON fault-sweep report to this path")
+	fs.StringVar(&ff.repros, "repros", "", "save shrunk counterexample artifacts under this directory")
+	fs.IntVar(&ff.shrink, "shrink", 0, "shrink budget (replays per counterexample; 0 = default)")
+	if err := sh.parse(fs, args); err != nil {
+		return err
+	}
+	sems, procs, kinds, err := ff.validate(sh.trials)
 	if err != nil {
 		return err
 	}
+	params := experiment.Params{Seed: sh.seed, Quick: sh.quick, Parallelism: sh.parallel}
 	cfg := experiment.FaultSweepConfig{
 		Params:    params,
 		N:         ff.n,
-		Trials:    ff.trials,
+		Trials:    sh.trials,
 		Semantics: sems,
 		Procs:     procs,
 		Kinds:     kinds,
@@ -173,16 +162,10 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 	results := experiment.RunFaultSweep(cfg)
 
 	rep := faultReport{
-		Schema: "conciliator-fault-report/v1",
-		Seed:   params.Seed,
-		N:      cfg.N,
-		Trials: cfg.Trials,
-		Shrink: cfg.Shrink,
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-	}
-	if rep.Seed == 0 {
-		rep.Seed = 20120716
+		recordHeader: newHeader("conciliator-fault-report/v1", sh.seed),
+		N:            cfg.N,
+		Trials:       cfg.Trials,
+		Shrink:       cfg.Shrink,
 	}
 	var atomicFailures []string
 	totalViolated := 0
@@ -226,12 +209,7 @@ func runFaultSweep(out io.Writer, ff *faultFlags, params experiment.Params) erro
 	fmt.Fprintf(out, "fault: %d cells, %d violated trials, %.1fs\n", len(results), totalViolated, rep.WallSeconds)
 
 	if ff.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding fault report: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(ff.jsonOut, data, 0o644); err != nil {
+		if err := writeJSON(ff.jsonOut, rep); err != nil {
 			return fmt.Errorf("writing fault report: %w", err)
 		}
 	}

@@ -8,30 +8,32 @@ import (
 	"testing"
 )
 
-// TestFaultFlagValidation: every bad -fault* combination must fail fast
-// with a descriptive error and nothing written — these runs can take
-// minutes, so a typo must not burn the budget first.
+// TestFaultFlagValidation: every bad fault flag, and every flag of
+// another mode, must fail fast with a descriptive error and nothing
+// written — these runs can take minutes, so a typo must not burn the
+// budget first.
 func TestFaultFlagValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
 		want string // substring of the error
 	}{
-		{"unknown fault kind", []string{"-fault", "bogus"}, "unknown fault kind"},
-		{"empty fault list", []string{"-fault", " , "}, "no fault kinds"},
-		{"negative stutter", []string{"-fault", "stutter", "-fault-stutter", "-2"}, "fault-stutter"},
-		{"negative trials", []string{"-fault", "all", "-fault-trials", "-1"}, "fault-trials"},
-		{"negative n", []string{"-fault", "all", "-fault-n", "-4"}, "fault-n"},
-		{"negative shrink", []string{"-fault", "all", "-fault-shrink", "-9"}, "fault-shrink"},
-		{"unknown sched kind", []string{"-fault", "all", "-fault-sched", "warp"}, "unknown schedule kind"},
-		{"baseline conflict", []string{"-fault", "all", "-bench-baseline", "b.json"}, "bench-baseline"},
-		{"bench-json conflict", []string{"-fault", "all", "-bench-json", "b.json"}, "bench-baseline"},
-		{"experiment conflict", []string{"-fault", "all", "-experiment", "E3"}, "cannot be combined"},
-		{"all conflict", []string{"-fault", "all", "-all"}, "cannot be combined"},
-		{"replay plus sweep", []string{"-fault-replay", "r.json", "-fault", "all"}, "cannot be combined"},
-		{"replay plus json", []string{"-fault-replay", "r.json", "-fault-json", "x.json"}, "cannot be combined"},
-		{"orphan fault flag", []string{"-fault-trials", "5"}, "require -fault"},
-		{"replay missing file", []string{"-fault-replay", filepath.Join(t.TempDir(), "nope.json")}, "loading repro"},
+		{"unknown fault kind", []string{"fault", "-kinds", "bogus"}, "unknown fault kind"},
+		{"empty fault list", []string{"fault", "-kinds", " , "}, "no fault kinds"},
+		{"negative stutter", []string{"fault", "-kinds", "stutter", "-stutter", "-2"}, "-stutter"},
+		{"negative trials", []string{"fault", "-trials", "-1"}, "-trials"},
+		{"negative n", []string{"fault", "-n", "-4"}, "-n"},
+		{"negative shrink", []string{"fault", "-shrink", "-9"}, "-shrink"},
+		{"unknown sched kind", []string{"fault", "-sched", "warp"}, "unknown schedule kind"},
+		{"empty sched list", []string{"fault", "-sched", " , "}, "no schedule kinds"},
+		{"replay missing file", []string{"replay", filepath.Join(t.TempDir(), "nope.json")}, "nope.json"},
+		{"baseline conflict", []string{"fault", "-bench-baseline", "b.json"}, unknownFlag},
+		{"bench-json conflict", []string{"fault", "-bench-json", "b.json"}, unknownFlag},
+		{"experiment conflict", []string{"fault", "-experiment", "E3"}, unknownFlag},
+		{"all conflict", []string{"fault", "-all"}, unknownFlag},
+		{"replay plus sweep", []string{"replay", "-kinds", "all", "r.json"}, unknownFlag},
+		{"replay plus json", []string{"replay", "-json", "x.json", "r.json"}, unknownFlag},
+		{"orphan fault flag", []string{"exp", "-shrink", "5"}, unknownFlag},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -43,6 +45,9 @@ func TestFaultFlagValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("error %q does not mention %q", err, tt.want)
 			}
+			if b.Len() != 0 {
+				t.Errorf("output written before validation: %q", b.String())
+			}
 		})
 	}
 }
@@ -51,10 +56,11 @@ func TestFaultSweepSmokeAndReport(t *testing.T) {
 	reportPath := filepath.Join(t.TempDir(), "fault.json")
 	var b strings.Builder
 	err := run([]string{
-		"-fault", "atomic,stutter",
-		"-fault-sched", "round-robin",
-		"-fault-trials", "3",
-		"-fault-json", reportPath,
+		"fault",
+		"-kinds", "atomic,stutter",
+		"-sched", "round-robin",
+		"-trials", "3",
+		"-json", reportPath,
 	}, &b)
 	if err != nil {
 		t.Fatalf("sweep failed: %v\n%s", err, b.String())
@@ -97,16 +103,17 @@ func TestFaultSweepSmokeAndReport(t *testing.T) {
 }
 
 // TestFaultSweepReplayRoundTrip is the end-to-end satellite: a weakened
-// sweep produces a shrunk artifact on disk, and -fault-replay confirms
+// sweep produces a shrunk artifact on disk, and replay confirms
 // it reproduces.
 func TestFaultSweepReplayRoundTrip(t *testing.T) {
 	reproDir := t.TempDir()
 	var b strings.Builder
 	err := run([]string{
-		"-fault", "safe",
-		"-fault-sched", "round-robin,random",
-		"-fault-trials", "8",
-		"-fault-repros", reproDir,
+		"fault",
+		"-kinds", "safe",
+		"-sched", "round-robin,random",
+		"-trials", "8",
+		"-repros", reproDir,
 	}, &b)
 	if err != nil {
 		t.Fatalf("sweep failed: %v\n%s", err, b.String())
@@ -121,7 +128,7 @@ func TestFaultSweepReplayRoundTrip(t *testing.T) {
 
 	artifact := filepath.Join(reproDir, entries[0].Name())
 	b.Reset()
-	if err := run([]string{"-fault-replay", artifact}, &b); err != nil {
+	if err := run([]string{"replay", artifact}, &b); err != nil {
 		t.Fatalf("replay failed: %v\n%s", err, b.String())
 	}
 	if !strings.Contains(b.String(), "reproduced") {
@@ -147,7 +154,7 @@ func TestFaultReplayStaleArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err := run([]string{"-fault-replay", path}, &b)
+	err := run([]string{"replay", path}, &b)
 	if err == nil || !strings.Contains(err.Error(), "no violations") {
 		t.Fatalf("stale artifact not rejected: %v", err)
 	}
@@ -157,9 +164,10 @@ func TestFaultSweepDeterministicOutput(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
 		if err := run([]string{
-			"-fault", "regular,stall",
-			"-fault-sched", "random",
-			"-fault-trials", "4",
+			"fault",
+			"-kinds", "regular,stall",
+			"-sched", "random",
+			"-trials", "4",
 		}, &b); err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,19 @@
-// Command consensusbench runs the paper-reproduction experiments E1-E12
-// and prints their tables.
+// Command consensusbench runs the paper-reproduction experiments and the
+// sweeps behind them. Each run shape is a subcommand with its own flags:
 //
-// Usage:
+//	consensusbench exp -list
+//	consensusbench exp -experiment E4 -trials 200 -format markdown
+//	consensusbench exp -all -quick
+//	consensusbench mc -protocols all -n 16 -trials 5000
+//	consensusbench des -n 10000 -trials 1
+//	consensusbench attack -protocols all -json ATTACK_E19.json
+//	consensusbench fault -kinds all -trials 10
+//	consensusbench load -shards 1,4 -json svc.json
+//	consensusbench replay ATTACK_E19_sifter.json
 //
-//	consensusbench -list
-//	consensusbench -experiment E4 -trials 200 -format markdown
-//	consensusbench -all -quick
-//
-// Each experiment is deterministic in (-seed, -trials); see EXPERIMENTS.md
-// for the interpretation of every table.
+// "consensusbench <subcommand> -h" lists a subcommand's flags. Every run
+// is deterministic in its seed and flags; see EXPERIMENTS.md for the
+// interpretation of every table.
 package main
 
 import (
@@ -19,60 +24,22 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
-	"github.com/oblivious-consensus/conciliator/internal/metrics"
-	"github.com/oblivious-consensus/conciliator/internal/sched"
-	"github.com/oblivious-consensus/conciliator/internal/sim"
-	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// benchRecord is the machine-readable perf record written by -bench-json.
-// Steps and slots come from the simulator's process-wide counters sampled
-// around each experiment, so they cover every trial the experiment ran.
-type benchRecord struct {
-	Schema           string       `json:"schema"` // "conciliator-bench/v1"
-	Seed             uint64       `json:"seed"`
-	Quick            bool         `json:"quick"`
-	Trials           int          `json:"trials,omitempty"`
-	Parallelism      int          `json:"parallelism"`
-	GOOS             string       `json:"goos"`
-	GOARCH           string       `json:"goarch"`
-	NumCPU           int          `json:"num_cpu"`
-	GOMAXPROCS       int          `json:"gomaxprocs,omitempty"`
-	TotalWallSeconds float64      `json:"total_wall_seconds"`
-	Experiments      []benchEntry `json:"experiments"`
-}
-
-type benchEntry struct {
-	ID          string  `json:"id"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Steps       int64   `json:"steps"`
-	Slots       int64   `json:"slots"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	SlotsPerSec float64 `json:"slots_per_sec"`
-}
-
-// metricsRecord is the machine-readable observability record written by
-// -metrics-json: one registry-snapshot delta per experiment (counters
-// restricted to what that experiment moved) plus the suite-wide totals.
-type metricsRecord struct {
-	Schema      string           `json:"schema"` // "conciliator-metrics/v1"
-	Seed        uint64           `json:"seed"`
-	Quick       bool             `json:"quick"`
-	Trials      int              `json:"trials,omitempty"`
-	Parallelism int              `json:"parallelism"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
-	NumCPU      int              `json:"num_cpu"`
-	Experiments []metricsEntry   `json:"experiments"`
-	Totals      metrics.Snapshot `json:"totals"`
-}
-
-type metricsEntry struct {
-	ID      string           `json:"id"`
-	Metrics metrics.Snapshot `json:"metrics"`
+// subcommands is the command table: one run shape per entry.
+var subcommands = []struct {
+	name, summary string
+	run           func(args []string, out io.Writer) error
+}{
+	{"exp", "experiment tables E1-E21, bench and metrics records", runExp},
+	{"mc", "flat-engine Monte Carlo sweep", runMC},
+	{"des", "discrete-event message-passing sweep, optionally under crash chaos", runDES},
+	{"attack", "oblivious adversary search", runAttack},
+	{"fault", "fault-injection matrix with counterexample shrinking", runFault},
+	{"load", "consensus-as-a-service load generator", runLoad},
+	{"replay", "replay a committed artifact: replay <file>", runReplay},
 }
 
 func main() {
@@ -83,549 +50,209 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("consensusbench", flag.ContinueOnError)
-	var (
-		list              = fs.Bool("list", false, "list experiments and exit")
-		expID             = fs.String("experiment", "", "experiment id(s) to run, comma-separated (E1..E16)")
-		all               = fs.Bool("all", false, "run every experiment")
-		trials            = fs.Int("trials", 0, "trials per configuration (0 = per-experiment default)")
-		seed              = fs.Uint64("seed", 0, "master seed (0 = default)")
-		quick             = fs.Bool("quick", false, "small sweeps for a fast smoke run")
-		format            = fs.String("format", "text", "output format: text, markdown, or tsv")
-		timings           = fs.Bool("timings", false, "print wall-clock time per experiment")
-		parallel          = fs.Int("parallel", 0, "trial workers per experiment (0 = NumCPU); results are identical for any value")
-		benchOut          = fs.String("bench-json", "", "write a JSON perf record (steps/sec, slots/sec, wall time per experiment) to this path")
-		benchBaseline     = fs.String("bench-baseline", "", "compare this run's controlled-steps entries against a committed bench record; exit nonzero on a >10% steps/s regression")
-		benchConcOut      = fs.String("bench-concurrent-json", "", "run the concurrent-substrate sweep (lock-free vs locked, real goroutines) and write its JSON record to this path")
-		benchConcBaseline = fs.String("bench-concurrent-baseline", "", "compare the concurrent sweep's entries against a committed record; exit nonzero on a >10% steps/s regression")
-		metricsOut        = fs.String("metrics-json", "", "write a JSON metrics record (per-object op counts, phase step attribution, histograms) to this path")
-		metricsTable      = fs.Bool("metrics", false, "print the metrics table after the run")
-		debugAddr         = fs.String("debug-addr", "", "serve expvar and pprof on this address (e.g. localhost:6060) while experiments run")
-	)
-	var ff faultFlags
-	fs.StringVar(&ff.spec, "fault", "", "run the fault-injection sweep over these fault kinds (comma-separated: all, stutter, stall, crash-recovery, atomic, regular, safe)")
-	fs.IntVar(&ff.trials, "fault-trials", 0, "trials per fault-matrix cell (0 = default)")
-	fs.IntVar(&ff.n, "fault-n", 0, "processes per faulted trial (0 = default 8)")
-	fs.StringVar(&ff.scheds, "fault-sched", "", "schedule kinds for the fault sweep, comma-separated (default: all kinds)")
-	fs.IntVar(&ff.stutter, "fault-stutter", 0, "max stutter/stall length and staleness depth per fault event (0 = default)")
-	fs.StringVar(&ff.jsonOut, "fault-json", "", "write a JSON fault-sweep report to this path")
-	fs.StringVar(&ff.repros, "fault-repros", "", "save shrunk counterexample artifacts under this directory")
-	fs.IntVar(&ff.shrink, "fault-shrink", 0, "shrink budget (replays per counterexample; 0 = default)")
-	fs.StringVar(&ff.replay, "fault-replay", "", "replay a saved counterexample artifact and confirm it still violates")
-	var af attackFlags
-	fs.StringVar(&af.spec, "attack", "", "run the oblivious adversary search over these protocols (comma-separated: all, sifter, priority)")
-	fs.StringVar(&af.jsonOut, "attack-json", "", "write an attack-record/v1 artifact per searched protocol (multi-protocol runs insert _<protocol> before the extension)")
-	fs.StringVar(&af.replay, "attack-replay", "", "replay a committed attack-record/v1 artifact and verify it regenerates byte-identically")
-	fs.IntVar(&af.n, "attack-n", 0, "processes per searched schedule (0 = default 8, quick 4)")
-	fs.IntVar(&af.budget, "attack-budget", 0, "candidate evaluations per search (0 = default 64, quick 16)")
-	fs.IntVar(&af.trials, "attack-trials", 0, "trials per candidate evaluation (0 = default 4, quick 2)")
-	fs.BoolVar(&af.faults, "attack-faults", false, "let the search add stutter/stall fault-schedule components to candidates")
-	var mf mcFlags
-	fs.StringVar(&mf.spec, "mc", "", "run the flat-engine Monte Carlo sweep over these protocols (comma-separated conciliator:adopt-commit pairs, or all)")
-	fs.IntVar(&mf.n, "mc-n", 0, "processes per Monte Carlo trial (0 = default 16)")
-	fs.Int64Var(&mf.trials, "mc-trials", 0, "Monte Carlo trials per protocol (0 = default 1000000, quick 20000)")
-	fs.StringVar(&mf.schedK, "mc-sched", "", "schedule kind driving the Monte Carlo trials (default random)")
-	fs.StringVar(&mf.jsonOut, "mc-json", "", "write a conciliator-mc/v1 JSON record of the Monte Carlo sweep to this path")
-	var sf serviceFlags
-	fs.BoolVar(&sf.load, "service-load", false, "run the consensus-as-a-service load generator (in-process node, or remote with -service-addr)")
-	fs.StringVar(&sf.shards, "service-shards", "", "comma-separated shard counts to sweep in-process (default 1,4)")
-	fs.IntVar(&sf.pipeline, "service-pipeline", 0, "in-flight consensus slots per shard (0 = service default)")
-	fs.IntVar(&sf.batchMax, "service-batch-max", 0, "max ops per consensus slot (0 = service default)")
-	fs.IntVar(&sf.queue, "service-queue", 0, "per-shard intake queue depth (0 = service default)")
-	fs.IntVar(&sf.clients, "service-clients", 0, "concurrent closed-loop clients (0 = default 16, quick 8)")
-	fs.DurationVar(&sf.duration, "service-duration", 0, "load duration per configuration (0 = default 2s, quick 500ms)")
-	fs.Float64Var(&sf.readFrac, "service-read-frac", 0, "fraction of ops that are reads (0 = default 0.25)")
-	fs.IntVar(&sf.keys, "service-keys", 0, "keyspace size (0 = default 1024)")
-	fs.StringVar(&sf.skew, "service-skew", "", "key popularity: uniform or zipf (default uniform)")
-	fs.StringVar(&sf.protocol, "service-protocol", "", "consensus construction per slot: register, snapshot, or linear (default register)")
-	fs.StringVar(&sf.addr, "service-addr", "", "drive a running consensusd at this address over HTTP instead of an in-process node")
-	fs.StringVar(&sf.jsonOut, "service-json", "", "write an rsm-service/v1 JSON load record to this path")
-	fs.StringVar(&sf.baseline, "service-baseline", "", "compare write throughput against a committed rsm-service/v1 record; exit nonzero on a >10% regression (skipped across host shapes)")
-	var df desFlags
-	fs.BoolVar(&df.run, "des", false, "run the discrete-event message-passing sweep (steps vs n at n up to 100k)")
-	fs.StringVar(&df.jsonOut, "des-json", "", "write the DES sweep's JSON record to this path")
-	fs.StringVar(&df.ns, "des-n", "", "comma-separated process counts for the DES sweep (default 1000,10000,100000)")
-	fs.StringVar(&df.protocols, "des-protocols", "", "comma-separated DES protocols (default sifter,sifter-half,priority-max)")
-	fs.IntVar(&df.trials, "des-trials", 0, "trials per DES configuration (0 = default 5)")
-	fs.StringVar(&df.latency, "des-latency", "", "DES latency distribution kind:mean, kinds fixed|uniform|exp (default exp:1ms)")
-	fs.Float64Var(&df.loss, "des-loss", 0, "DES per-message loss probability in [0, 0.99]")
-	fs.StringVar(&df.partitions, "des-partition", "", "comma-separated DES partitions from:until:frac (e.g. 5ms:25ms:0.3)")
-	fs.StringVar(&df.crash, "des-crash", "", "DES crash schedule proc:<rate>,server:<windows> (e.g. proc:0.2,server:1)")
-	fs.StringVar(&df.restart, "des-restart", "", "DES restart variant: durable, amnesiac, or amnesiac-server (default durable)")
-	fs.StringVar(&df.repros, "des-fault-repros", "", "write shrunk des-fault-repro/v1 artifacts for violating chaos runs into this directory")
-	fs.StringVar(&df.replay, "des-fault-replay", "", "replay a des-fault-repro/v1 artifact and verify its violations reproduce")
+	if len(args) == 0 {
+		return fmt.Errorf("missing subcommand\n%s", usage())
+	}
+	for _, c := range subcommands {
+		if c.name == args[0] {
+			return c.run(args[1:], out)
+		}
+	}
+	return fmt.Errorf("unknown subcommand %q\n%s", args[0], usage())
+}
+
+func usage() string {
+	var b strings.Builder
+	b.WriteString("usage: consensusbench <subcommand> [flags]\n\nsubcommands:\n")
+	for _, c := range subcommands {
+		fmt.Fprintf(&b, "  %-7s %s\n", c.name, c.summary)
+	}
+	b.WriteString("\nrun \"consensusbench <subcommand> -h\" for a subcommand's flags")
+	return b.String()
+}
+
+// defaultSeed is the documented master seed a zero -seed resolves to.
+const defaultSeed = 20120716
+
+// The flags more than one subcommand reads. Each subcommand registers
+// only the ones it uses, so a flag its mode would ignore is an
+// unknown-flag error rather than a silent no-op.
+const (
+	seedFlag = 1 << iota
+	quickFlag
+	formatFlag
+	parallelFlag
+	trialsFlag
+)
+
+type sharedFlags struct {
+	seed     uint64
+	quick    bool
+	format   string
+	parallel int
+	trials   int
+}
+
+// newFlagSet returns the named subcommand's FlagSet with the shared flags
+// in mask registered.
+func newFlagSet(name string, mask int) (*flag.FlagSet, *sharedFlags) {
+	fs := flag.NewFlagSet("consensusbench "+name, flag.ContinueOnError)
+	sh := &sharedFlags{format: "text"}
+	if mask&seedFlag != 0 {
+		fs.Uint64Var(&sh.seed, "seed", 0, "master seed (0 = default 20120716)")
+	}
+	if mask&quickFlag != 0 {
+		fs.BoolVar(&sh.quick, "quick", false, "small sweeps for a fast smoke run")
+	}
+	if mask&formatFlag != 0 {
+		fs.StringVar(&sh.format, "format", "text", "output format: text, markdown, or tsv")
+	}
+	if mask&parallelFlag != 0 {
+		fs.IntVar(&sh.parallel, "parallel", 0, "workers (0 = NumCPU); results are identical for any value")
+	}
+	if mask&trialsFlag != 0 {
+		fs.IntVar(&sh.trials, "trials", 0, "trials per configuration (0 = the mode's default)")
+	}
+	return fs, sh
+}
+
+// parse parses a subcommand's arguments and validates the shared flags
+// before any work runs: a typo must not burn a minutes-long sweep first.
+func (sh *sharedFlags) parse(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	if sf.active() {
-		// Service-load mode is its own run shape: it drives the live
-		// service node, not any simulator experiment, so every other
-		// mode's flags are contradictory.
-		if mf.active() || af.active() || df.active() || ff.active() {
-			return fmt.Errorf("-service flags cannot be combined with -mc/-attack/-des/-fault flags: the load generator drives the service node, not a simulator sweep")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("-service flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: the service record (-service-json) carries its own throughput figures")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("-service flags cannot be combined with -experiment/-all/-list")
-		}
-		if !sf.load {
-			return fmt.Errorf("-service-json/-service-baseline/-service-addr require -service-load")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		return runServiceLoad(out, &sf, *seed, *quick, *format, *debugAddr)
+	if fs.NArg() != 0 {
+		return fmt.Errorf("%s: unexpected arguments %q", fs.Name(), fs.Args())
 	}
-
-	if mf.active() {
-		// Monte Carlo mode is its own run shape: reject every
-		// contradictory combination before any trial executes.
-		if af.active() || df.active() || ff.active() {
-			return fmt.Errorf("-mc flags cannot be combined with -attack/-des/-fault flags: the Monte Carlo sweep drives the flat shared-memory engine only")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("-mc flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: the Monte Carlo record (-mc-json) carries its own throughput figures")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("-mc flags cannot be combined with -experiment/-all/-list (the curated Monte Carlo sweep runs as experiment E20)")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		return runMCSweep(out, &mf, *seed, *quick, *parallel, *format)
-	}
-
-	if af.active() {
-		// Attack mode is its own run shape, exactly like fault and DES
-		// mode: reject every contradictory combination before any
-		// evaluation executes.
-		if df.active() {
-			return fmt.Errorf("attack flags cannot be combined with -des flags: the search drives the shared-memory simulator, not the message-passing DES")
-		}
-		if ff.active() {
-			return fmt.Errorf("attack flags cannot be combined with -fault flags: the search owns its fault components (-attack-faults); the fault sweep is a separate mode")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("attack flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: searched schedules measure adversarial damage, not throughput")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("attack flags cannot be combined with -experiment/-all/-list (the curated search runs as experiment E19)")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		if _, err := af.validate(); err != nil {
-			return err
-		}
-		if af.replay != "" {
-			return runAttackReplay(out, af.replay, *parallel)
-		}
-		return runAttackSearch(out, &af, *seed, *quick, *parallel, *format)
-	}
-
-	if df.active() {
-		// DES mode is its own run shape, exactly like fault mode: reject
-		// every contradictory combination before any trial executes.
-		if ff.active() {
-			return fmt.Errorf("des flags cannot be combined with -fault flags: the DES models message loss and partitions, the fault sweep models faulty shared memory")
-		}
-		if *benchOut != "" || *benchBaseline != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("des flags cannot be combined with -bench-json/-bench-baseline/-bench-concurrent-json/-bench-concurrent-baseline: those records measure the shared-memory simulators")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("des flags cannot be combined with -experiment/-all/-list (the curated DES sweep runs as experiment E18)")
-		}
-		switch *format {
-		case "text", "markdown", "tsv":
-		default:
-			return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
-		}
-		if df.replay != "" {
-			// Replay is a standalone shape: it re-executes a committed
-			// artifact's recorded config verbatim, so sweep flags have
-			// nothing to modify.
-			if df.run || df.jsonOut != "" || df.ns != "" || df.protocols != "" ||
-				df.trials != 0 || df.latency != "" || df.loss != 0 || df.partitions != "" ||
-				df.crash != "" || df.restart != "" || df.repros != "" {
-				return fmt.Errorf("-des-fault-replay cannot be combined with other -des flags: the artifact records its full configuration")
-			}
-			return runDESFaultReplay(out, df.replay)
-		}
-		if *trials != 0 && df.trials == 0 {
-			df.trials = *trials
-		}
-		return runDESSweep(out, &df, *seed, *format)
-	}
-
-	if ff.active() {
-		// Fault mode is its own run shape: validate the combination (and
-		// everything it conflicts with) before any trial executes.
-		if *benchBaseline != "" || *benchOut != "" || *benchConcOut != "" || *benchConcBaseline != "" {
-			return fmt.Errorf("fault flags cannot be combined with -bench-baseline/-bench-json/-bench-concurrent-json/-bench-concurrent-baseline: faulted runs measure safety, not throughput")
-		}
-		if *expID != "" || *all || *list {
-			return fmt.Errorf("fault flags cannot be combined with -experiment/-all/-list (the reduced fault matrix runs as experiment E17)")
-		}
-		if ff.replay != "" {
-			if ff.jsonOut != "" || ff.repros != "" {
-				return fmt.Errorf("-fault-replay cannot be combined with -fault-json/-fault-repros")
-			}
-			if _, _, _, err := ff.validate(); err != nil {
-				return err
-			}
-			return runFaultReplay(out, ff.replay)
-		}
-		if _, _, _, err := ff.validate(); err != nil {
-			return err
-		}
-		params := experiment.Params{Seed: *seed, Quick: *quick, Parallelism: *parallel}
-		if *trials != 0 && ff.trials == 0 {
-			ff.trials = *trials
-		}
-		return runFaultSweep(out, &ff, params)
-	}
-
-	// Validate the output format up front: a typo must not burn a full
-	// (minutes-long) experiment suite before erroring.
-	switch *format {
+	switch sh.format {
 	case "text", "markdown", "tsv":
 	default:
-		return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", *format)
+		return fmt.Errorf("unknown format %q (want text, markdown, or tsv)", sh.format)
 	}
-
-	if *list {
-		for _, e := range experiment.All() {
-			fmt.Fprintf(out, "%-4s %s\n     claim: %s\n", e.ID, e.Title, e.Claim)
-		}
-		return nil
-	}
-
-	var todo []experiment.Experiment
-	switch {
-	case *all:
-		todo = experiment.All()
-	case *expID != "":
-		for _, id := range strings.Split(*expID, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			e, ok := experiment.ByID(strings.ToUpper(id))
-			if !ok {
-				return fmt.Errorf("unknown experiment %q (use -list)", id)
-			}
-			todo = append(todo, e)
-		}
-		if len(todo) == 0 {
-			return fmt.Errorf("no experiment ids in %q", *expID)
-		}
-	default:
-		// The concurrent sweep can run standalone: it measures the
-		// substrate, not any experiment.
-		if *benchConcOut == "" && *benchConcBaseline == "" {
-			return fmt.Errorf("nothing to do: pass -experiment <id>, -all, -list, or -bench-concurrent-json")
-		}
-	}
-
-	// Any observability output needs a live registry. A fresh one per run
-	// keeps the deltas clean when run is driven repeatedly (tests).
-	wantMetrics := *metricsOut != "" || *metricsTable || *debugAddr != ""
-	if wantMetrics {
-		metrics.SetDefault(metrics.New())
-	}
-	if *debugAddr != "" {
-		addr, shutdown, err := startDebugServer(*debugAddr)
-		if err != nil {
-			return fmt.Errorf("debug server: %w", err)
-		}
-		defer shutdown()
-		fmt.Fprintf(out, "debug server on http://%s/debug/vars (pprof under /debug/pprof/)\n", addr)
-	}
-
-	params := experiment.Params{Trials: *trials, Seed: *seed, Quick: *quick, Parallelism: *parallel}
-	rec := benchRecord{
-		Schema:      "conciliator-bench/v1",
-		Seed:        *seed,
-		Quick:       *quick,
-		Trials:      *trials,
-		Parallelism: *parallel,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-	if rec.Seed == 0 {
-		rec.Seed = 20120716 // the documented default master seed
-	}
-	if rec.Parallelism == 0 {
-		rec.Parallelism = runtime.NumCPU()
-	}
-	mrec := metricsRecord{
-		Schema:      "conciliator-metrics/v1",
-		Seed:        rec.Seed,
-		Quick:       *quick,
-		Trials:      *trials,
-		Parallelism: rec.Parallelism,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-	}
-	suiteStart := time.Now()
-	for _, e := range todo {
-		steps0, slots0 := sim.Counters()
-		mPrev := metrics.Default().Snapshot()
-		start := time.Now()
-		tables := e.Run(params)
-		wall := time.Since(start)
-		steps1, slots1 := sim.Counters()
-		if wantMetrics {
-			mrec.Experiments = append(mrec.Experiments, metricsEntry{
-				ID:      e.ID,
-				Metrics: metrics.Default().Snapshot().Sub(mPrev),
-			})
-		}
-		for _, t := range tables {
-			switch *format {
-			case "markdown":
-				fmt.Fprintln(out, t.Markdown())
-			case "tsv":
-				fmt.Fprintf(out, "# %s: %s\n%s\n", t.ID, t.Title, t.TSV())
-			case "text":
-				fmt.Fprintln(out, t.Text())
-			}
-		}
-		if *timings {
-			fmt.Fprintf(out, "[%s took %v]\n\n", e.ID, wall.Round(time.Millisecond))
-		}
-		secs := wall.Seconds()
-		entry := benchEntry{
-			ID:          e.ID,
-			WallSeconds: secs,
-			Steps:       steps1 - steps0,
-			Slots:       slots1 - slots0,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(entry.Steps) / secs
-			entry.SlotsPerSec = float64(entry.Slots) / secs
-		}
-		rec.Experiments = append(rec.Experiments, entry)
-	}
-	if *benchOut != "" || *benchBaseline != "" {
-		// The controlled-steps microbenchmarks measure raw simulator
-		// throughput independent of any protocol, which is what the
-		// baseline gate compares: experiment entries are dominated by
-		// protocol statistics, these by the engine. The flat-steps entries
-		// run the same workloads on the flat state-machine engine; the
-		// ratio between the two prefixes in one record is the interpreter
-		// speedup on identical modeled work.
-		rec.Experiments = append(rec.Experiments, controlledStepsEntries()...)
-		rec.Experiments = append(rec.Experiments, flatStepsEntries()...)
-	}
-	if *benchOut != "" {
-		rec.TotalWallSeconds = time.Since(suiteStart).Seconds()
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding bench record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing bench record: %w", err)
-		}
-	}
-	if *benchBaseline != "" {
-		if err := compareBaseline(out, rec.Experiments, *benchBaseline, "controlled-steps/"); err != nil {
-			return err
-		}
-		if err := compareBaseline(out, rec.Experiments, *benchBaseline, "flat-steps/"); err != nil {
-			return err
-		}
-	}
-	if *benchConcOut != "" || *benchConcBaseline != "" {
-		crec := buildConcurrentRecord(out)
-		if *benchConcOut != "" {
-			data, err := json.MarshalIndent(crec, "", "  ")
-			if err != nil {
-				return fmt.Errorf("encoding concurrent bench record: %w", err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*benchConcOut, data, 0o644); err != nil {
-				return fmt.Errorf("writing concurrent bench record: %w", err)
-			}
-		}
-		if *benchConcBaseline != "" {
-			if err := compareBaseline(out, crec.Experiments, *benchConcBaseline, "concurrent-steps/"); err != nil {
-				return err
-			}
-		}
-	}
-	if wantMetrics {
-		mrec.Totals = metrics.Default().Snapshot()
-	}
-	if *metricsTable {
-		fmt.Fprintf(out, "metrics:\n%s", mrec.Totals.Text())
-	}
-	if *metricsOut != "" {
-		data, err := json.MarshalIndent(mrec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding metrics record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*metricsOut, data, 0o644); err != nil {
-			return fmt.Errorf("writing metrics record: %w", err)
-		}
+	if sh.seed == 0 {
+		sh.seed = defaultSeed
 	}
 	return nil
 }
 
-// controlledStepsRuns is the fixed per-workload run count of the
-// controlled-steps microbenchmarks: deterministic work (the steps/s
-// denominator varies only with machine speed) keeps baseline comparisons
-// meaningful across runs.
-const controlledStepsRuns = 64
-
-// controlledStepsEntries runs the controlled-steps microbenchmark suite —
-// the same four workloads as BenchmarkControlledSteps — and returns one
-// bench entry per workload under the "controlled-steps/" id prefix.
-func controlledStepsEntries() []benchEntry {
-	cases := []struct {
-		name  string
-		n     int
-		steps func(pid int) int
-		mk    func(n int, seed uint64) sched.Source
-	}{
-		{
-			name:  "round-robin/n=8",
-			n:     8,
-			steps: func(int) int { return 2048 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "round-robin/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "random/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, seed uint64) sched.Source { return sched.NewRandom(n, xrand.New(seed)) },
-		},
-		{
-			name: "skewed-tail/n=64",
-			n:    64,
-			steps: func(pid int) int {
-				if pid == 0 {
-					return 4096
-				}
-				return 1
-			},
-			mk: func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
+// render writes tbl in a format sharedFlags.parse accepted.
+func render(out io.Writer, format string, tbl *experiment.Table) {
+	switch format {
+	case "markdown":
+		fmt.Fprintln(out, tbl.Markdown())
+	case "tsv":
+		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
+	default:
+		fmt.Fprintln(out, tbl.Text())
 	}
-	entries := make([]benchEntry, 0, len(cases))
-	for _, tc := range cases {
-		var totalSteps, totalSlots int64
-		start := time.Now()
-		for i := 0; i < controlledStepsRuns; i++ {
-			res, err := sim.RunControlled(tc.mk(tc.n, uint64(i)+1), func(p *sim.Proc) {
-				for s := tc.steps(p.ID()); s > 0; s-- {
-					p.Step()
-				}
-			}, sim.Config{AlgSeed: uint64(i) + 1})
-			if err != nil {
-				// The workloads are infinite-schedule and tiny relative to
-				// the slot budget; an error here is a simulator bug, not a
-				// measurement artifact.
-				panic(err)
-			}
-			totalSteps += res.TotalSteps
-			totalSlots += res.Slots
-		}
-		secs := time.Since(start).Seconds()
-		entry := benchEntry{
-			ID:          "controlled-steps/" + tc.name,
-			WallSeconds: secs,
-			Steps:       totalSteps,
-			Slots:       totalSlots,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(totalSteps) / secs
-			entry.SlotsPerSec = float64(totalSlots) / secs
-		}
-		entries = append(entries, entry)
-	}
-	return entries
 }
 
-// regressionTolerance is how far below baseline a controlled-steps
-// workload's steps/s may fall before compareBaseline fails the run.
+// recordHeader is the provenance every JSON record of this command
+// starts with: the schema, the resolved master seed (omitted by records
+// no seed drives), and the host shape the baseline gate compares.
+type recordHeader struct {
+	Schema     string `json:"schema"`
+	Seed       uint64 `json:"seed,omitempty"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
+func newHeader(schema string, seed uint64) recordHeader {
+	return recordHeader{
+		Schema:     schema,
+		Seed:       seed,
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// regressionTolerance is how far below its baseline a gated rate may
+// fall before compareBaseline fails the run.
 const regressionTolerance = 0.9
 
-// compareBaseline checks this run's entries under the given id prefix
-// ("controlled-steps/" or "concurrent-steps/") against the committed
-// record at path, printing one line per workload and returning an error
-// if any workload regressed by more than 10% steps/s. Workloads absent
-// from the baseline are reported and skipped, so new workloads can be
-// introduced before the baseline is refreshed.
-func compareBaseline(out io.Writer, entries []benchEntry, path, prefix string) error {
+// rate is one gated throughput figure of this run.
+type rate struct {
+	id string
+	v  float64
+}
+
+// compareBaseline gates this run's rates whose ids start with prefix
+// against the committed record at path: steps/s of a bench or concurrent
+// record ("experiments"), writes/s of a service record ("entries"). It
+// prints one line per rate and fails if any fell below
+// regressionTolerance of its baseline. Ids absent from the baseline are
+// reported and skipped, so new workloads can land before the baseline is
+// refreshed.
+func compareBaseline(out io.Writer, path, prefix, unit string, got []rate) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("reading bench baseline: %w", err)
+		return fmt.Errorf("reading baseline: %w", err)
 	}
-	var base benchRecord
+	var base struct {
+		recordHeader
+		Experiments []benchEntry   `json:"experiments"`
+		Entries     []serviceEntry `json:"entries"`
+	}
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing bench baseline %s: %w", path, err)
+		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
-	// steps/s is a property of the measuring host: a record taken on a
+	// Throughput is a property of the measuring host: a record taken on a
 	// 1-CPU runner says nothing about a 16-core laptop, and gating on the
 	// comparison would pass or fail meaninglessly. Skip (loudly) when the
 	// host shape differs from the record's; a zero field means an older
 	// record that never captured the value, which can't be checked.
 	if (base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) ||
 		(base.GOMAXPROCS != 0 && base.GOMAXPROCS != runtime.GOMAXPROCS(0)) {
-		fmt.Fprintf(out, "bench-baseline: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); steps/s are not comparable across hosts\n",
-			path, base.NumCPU, base.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+		fmt.Fprintf(out, "baseline: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); %s are not comparable across hosts\n",
+			path, base.NumCPU, base.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0), unit)
 		return nil
 	}
-	baseline := make(map[string]benchEntry, len(base.Experiments))
+	baseline := make(map[string]float64, len(base.Experiments)+len(base.Entries))
 	for _, e := range base.Experiments {
-		baseline[e.ID] = e
+		baseline[e.ID] = e.StepsPerSec
+	}
+	for _, e := range base.Entries {
+		baseline[e.ID] = e.WriteThroughput
 	}
 	var failures []string
 	compared := 0
-	for _, e := range entries {
-		if !strings.HasPrefix(e.ID, prefix) {
+	for _, g := range got {
+		if !strings.HasPrefix(g.id, prefix) {
 			continue
 		}
-		b, ok := baseline[e.ID]
-		if !ok || b.StepsPerSec <= 0 {
-			fmt.Fprintf(out, "bench-baseline: %-32s no baseline entry, skipped\n", e.ID)
+		b := baseline[g.id]
+		if b <= 0 {
+			fmt.Fprintf(out, "baseline: %-32s no baseline entry, skipped\n", g.id)
 			continue
 		}
 		compared++
-		ratio := e.StepsPerSec / b.StepsPerSec
-		fmt.Fprintf(out, "bench-baseline: %-32s %11.0f steps/s vs %11.0f baseline (%+.1f%%)\n",
-			e.ID, e.StepsPerSec, b.StepsPerSec, (ratio-1)*100)
+		ratio := g.v / b
+		fmt.Fprintf(out, "baseline: %-32s %11.0f %s vs %11.0f baseline (%+.1f%%)\n",
+			g.id, g.v, unit, b, (ratio-1)*100)
 		if ratio < regressionTolerance {
-			failures = append(failures, fmt.Sprintf("%s (%.1f%% of baseline)", e.ID, ratio*100))
+			failures = append(failures, fmt.Sprintf("%s (%.1f%% of baseline)", g.id, ratio*100))
 		}
 	}
 	if compared == 0 {
-		return fmt.Errorf("bench-baseline: %s has no %s entries to compare against", path, strings.TrimSuffix(prefix, "/"))
+		return fmt.Errorf("baseline: %s has no entries for this run's %s* ids", path, prefix)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("bench-baseline: steps/s regressed more than %d%%: %s",
-			int((1-regressionTolerance)*100), strings.Join(failures, ", "))
+		return fmt.Errorf("baseline: %s regressed more than %d%%: %s",
+			unit, int((1-regressionTolerance)*100), strings.Join(failures, ", "))
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +11,7 @@ import (
 
 func TestList(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-list"}, &b); err != nil {
+	if err := run([]string{"exp", "-list"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -29,7 +27,7 @@ func TestList(t *testing.T) {
 
 func TestRunSingleExperimentText(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E3", "-quick"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E3", "-quick"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -40,7 +38,7 @@ func TestRunSingleExperimentText(t *testing.T) {
 
 func TestLowercaseIDAccepted(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "e3", "-quick"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "e3", "-quick"}, &b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +48,7 @@ func TestFormats(t *testing.T) {
 		format := format
 		t.Run(format, func(t *testing.T) {
 			var b strings.Builder
-			if err := run([]string{"-experiment", "E6", "-quick", "-format", format}, &b); err != nil {
+			if err := run([]string{"exp", "-experiment", "E6", "-quick", "-format", format}, &b); err != nil {
 				t.Fatal(err)
 			}
 			if b.Len() == 0 {
@@ -62,7 +60,7 @@ func TestFormats(t *testing.T) {
 
 func TestMarkdownFormatShape(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E6", "-quick", "-format", "markdown"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E6", "-quick", "-format", "markdown"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "| n |") {
@@ -72,7 +70,7 @@ func TestMarkdownFormatShape(t *testing.T) {
 
 func TestTimingsFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E6", "-quick", "-timings"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E6", "-quick", "-timings"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "took") {
@@ -85,10 +83,11 @@ func TestErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{name: "no action", args: nil},
-		{name: "unknown experiment", args: []string{"-experiment", "E99"}},
-		{name: "unknown format", args: []string{"-experiment", "E6", "-quick", "-format", "xml"}},
-		{name: "bad flag", args: []string{"-nope"}},
+		{name: "no action", args: []string{"exp"}},
+		{name: "unknown experiment", args: []string{"exp", "-experiment", "E99"}},
+		{name: "unknown format", args: []string{"exp", "-experiment", "E6", "-quick", "-format", "xml"}},
+		{name: "bad flag", args: []string{"exp", "-nope"}},
+		{name: "positional argument", args: []string{"exp", "-all", "E3"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -102,7 +101,7 @@ func TestErrors(t *testing.T) {
 
 func TestCommaSeparatedExperiments(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E3, e6", "-quick"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E3, e6", "-quick"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -113,7 +112,7 @@ func TestCommaSeparatedExperiments(t *testing.T) {
 
 func TestCommaSeparatedEmpty(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", " , "}, &b); err == nil {
+	if err := run([]string{"exp", "-experiment", " , "}, &b); err == nil {
 		t.Error("expected error for empty id list")
 	}
 }
@@ -123,7 +122,7 @@ func TestFormatValidatedBeforeRunning(t *testing.T) {
 	// arrives with nothing written, rather than after a minutes-long
 	// suite has already printed its tables.
 	var b strings.Builder
-	err := run([]string{"-all", "-format", "jsn"}, &b)
+	err := run([]string{"exp", "-all", "-format", "jsn"}, &b)
 	if err == nil {
 		t.Fatal("expected error for unknown format")
 	}
@@ -139,7 +138,7 @@ func TestParallelFlagDeterministic(t *testing.T) {
 	// Identical seed => byte-identical tables regardless of -parallel.
 	render := func(parallel string) string {
 		var b strings.Builder
-		if err := run([]string{"-experiment", "E3", "-quick", "-parallel", parallel}, &b); err != nil {
+		if err := run([]string{"exp", "-experiment", "E3", "-quick", "-parallel", parallel}, &b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -157,7 +156,7 @@ func TestMetricsJSONSchemaAndReconciliation(t *testing.T) {
 	// phase attribution.
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E6", "-quick", "-metrics-json", path}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E6", "-quick", "-metrics-json", path}, &b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -222,7 +221,7 @@ func TestMetricsJSONSchemaAndReconciliation(t *testing.T) {
 
 func TestMetricsTableFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E6", "-quick", "-metrics"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E6", "-quick", "-metrics"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -233,38 +232,9 @@ func TestMetricsTableFlag(t *testing.T) {
 	}
 }
 
-func TestDebugServer(t *testing.T) {
-	addr, shutdown, err := startDebugServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "conciliator_metrics") {
-		t.Errorf("expvar output missing conciliator_metrics:\n%.500s", body)
-	}
-	// The pprof index must be wired on the same private mux.
-	resp2, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("pprof index status = %d", resp2.StatusCode)
-	}
-}
-
 func TestDebugAddrFlag(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E6", "-quick", "-debug-addr", "127.0.0.1:0"}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E6", "-quick", "-debug-addr", "127.0.0.1:0"}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "debug server on http://") {
@@ -275,7 +245,7 @@ func TestDebugAddrFlag(t *testing.T) {
 func TestBenchJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E3,E6", "-quick", "-bench-json", path}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E3,E6", "-quick", "-bench-json", path}, &b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -331,7 +301,7 @@ func TestBenchBaselineGate(t *testing.T) {
 	// it far beyond what any machine can recover.
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var b strings.Builder
-	if err := run([]string{"-experiment", "E3", "-quick", "-bench-json", path}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E3", "-quick", "-bench-json", path}, &b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -361,15 +331,15 @@ func TestBenchBaselineGate(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := run([]string{"-experiment", "E3", "-quick", "-bench-baseline", doctor("deflated.json", 1e-3)}, &b); err != nil {
+	if err := run([]string{"exp", "-experiment", "E3", "-quick", "-bench-baseline", doctor("deflated.json", 1e-3)}, &b); err != nil {
 		t.Fatalf("gate failed against a deflated baseline: %v\n%s", err, b.String())
 	}
-	if !strings.Contains(b.String(), "bench-baseline: controlled-steps/round-robin/n=8") {
+	if !strings.Contains(b.String(), "baseline: controlled-steps/round-robin/n=8") {
 		t.Errorf("comparison lines not printed:\n%s", b.String())
 	}
 
 	b.Reset()
-	err = run([]string{"-experiment", "E3", "-quick", "-bench-baseline", doctor("inflated.json", 1e3)}, &b)
+	err = run([]string{"exp", "-experiment", "E3", "-quick", "-bench-baseline", doctor("inflated.json", 1e3)}, &b)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Fatalf("gate did not fail against inflated baseline: %v", err)
 	}
@@ -383,8 +353,8 @@ func TestBenchBaselineWithoutControlledEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err := run([]string{"-experiment", "E3", "-quick", "-bench-baseline", stale}, &b)
-	if err == nil || !strings.Contains(err.Error(), "no controlled-steps entries") {
+	err := run([]string{"exp", "-experiment", "E3", "-quick", "-bench-baseline", stale}, &b)
+	if err == nil || !strings.Contains(err.Error(), "has no entries for this run's controlled-steps/* ids") {
 		t.Fatalf("expected no-entries error, got: %v", err)
 	}
 }
@@ -393,7 +363,7 @@ func TestBenchConcurrentJSON(t *testing.T) {
 	// The concurrent sweep runs standalone: no -experiment/-all needed.
 	path := filepath.Join(t.TempDir(), "conc.json")
 	var b strings.Builder
-	if err := run([]string{"-bench-concurrent-json", path}, &b); err != nil {
+	if err := run([]string{"exp", "-bench-concurrent-json", path}, &b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -443,7 +413,7 @@ func TestBenchConcurrentBaselineGate(t *testing.T) {
 	// noise on the measuring machine.
 	path := filepath.Join(t.TempDir(), "conc.json")
 	var b strings.Builder
-	if err := run([]string{"-bench-concurrent-json", path}, &b); err != nil {
+	if err := run([]string{"exp", "-bench-concurrent-json", path}, &b); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -473,20 +443,88 @@ func TestBenchConcurrentBaselineGate(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := run([]string{"-bench-concurrent-baseline", doctor("deflated.json", 1e-3)}, &b); err != nil {
+	if err := run([]string{"exp", "-bench-concurrent-baseline", doctor("deflated.json", 1e-3)}, &b); err != nil {
 		t.Fatalf("gate failed against a deflated baseline: %v\n%s", err, b.String())
 	}
 	b.Reset()
-	err = run([]string{"-bench-concurrent-baseline", doctor("inflated.json", 1e3)}, &b)
+	err = run([]string{"exp", "-bench-concurrent-baseline", doctor("inflated.json", 1e3)}, &b)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Fatalf("gate did not fail against inflated baseline: %v", err)
 	}
 }
 
+// TestUsage: a missing or unknown subcommand, including a bare flag of
+// the old single-FlagSet interface, fails with the subcommand list.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"bogus"}, {"-all"}, {"-all", "-quick"}} {
+		t.Run(fmt.Sprint(args), func(t *testing.T) {
+			var b strings.Builder
+			err := run(args, &b)
+			if err == nil {
+				t.Fatalf("run(%q) succeeded", args)
+			}
+			for _, c := range subcommands {
+				if !strings.Contains(err.Error(), "  "+c.name+" ") {
+					t.Errorf("usage does not list %q:\n%v", c.name, err)
+				}
+			}
+			if b.Len() != 0 {
+				t.Errorf("output written: %q", b.String())
+			}
+		})
+	}
+	if len(subcommands) != 7 {
+		t.Errorf("%d subcommands, want exp, mc, des, attack, fault, load, replay", len(subcommands))
+	}
+}
+
+// unknownFlag is the flag package's error for a flag the subcommand does
+// not register: how a flag of another mode is rejected.
+const unknownFlag = "flag provided but not defined"
+
+// TestFlagsBelongToOneMode: each subcommand registers only the flags its
+// mode reads, so a flag of another mode, or a shared flag the mode would
+// ignore, is an unknown-flag error before any work runs.
+func TestFlagsBelongToOneMode(t *testing.T) {
+	for _, args := range [][]string{
+		{"exp", "-all", "-json", "x.json"},
+		{"mc", "-all"},
+		{"mc", "-bench-json", "x.json"},
+		{"des", "-experiment", "E18"},
+		{"des", "-quick"},
+		{"des", "-parallel", "2"},
+		{"attack", "-crash", "proc:0.2"},
+		{"attack", "-bench-baseline", "b.json"},
+		{"fault", "-format", "markdown"},
+		{"fault", "-list"},
+		{"load", "-trials", "3"},
+		{"load", "-parallel", "2"},
+		{"replay", "-n", "8", "r.json"},
+		{"replay", "-seed", "3", "r.json"},
+	} {
+		var b strings.Builder
+		err := run(args, &b)
+		if err == nil || !strings.Contains(err.Error(), unknownFlag) {
+			t.Errorf("run(%q) = %v, want an unknown-flag error", args, err)
+		}
+	}
+}
+
+// TestBenchConcurrentConflictsWithFaults: the concurrent-substrate sweep
+// and the fault sweep belong to different subcommands, so neither accepts
+// the other's flag.
 func TestBenchConcurrentConflictsWithFaults(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-fault", "all", "-bench-concurrent-json", "x.json"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "bench-concurrent-json") {
-		t.Fatalf("fault+concurrent-bench accepted: %v", err)
+	for _, args := range [][]string{
+		{"fault", "-kinds", "all", "-bench-concurrent-json", "x.json"},
+		{"exp", "-bench-concurrent-json", "x.json", "-kinds", "all"},
+	} {
+		var b strings.Builder
+		err := run(args, &b)
+		if err == nil || !strings.Contains(err.Error(), unknownFlag) {
+			t.Errorf("run(%q) = %v, want an unknown-flag error", args, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("run(%q) wrote output: %q", args, b.String())
+		}
 	}
 }

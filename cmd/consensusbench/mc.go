@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -12,31 +10,24 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
-	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
-	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// mcFlags is the flat-engine Monte Carlo mode: millions of full consensus
+// mcFlags are the mc subcommand's own flags: millions of full consensus
 // trials on the flat state-machine interpreter, aggregated by streaming
 // integer histograms.
 type mcFlags struct {
 	spec    string
 	n       int
-	trials  int64
 	schedK  string
 	jsonOut string
 }
 
-func (f *mcFlags) active() bool {
-	return f.spec != "" || f.jsonOut != "" || f.n != 0 || f.trials != 0 || f.schedK != ""
-}
-
-// mcProtocols maps the -mc spec to flat configurations. "all" expands to
-// the three corollary protocols the flat engine supports.
+// protocols maps the -protocols spec to flat configurations. "all"
+// expands to the three corollary protocols the flat engine supports.
 func (f *mcFlags) protocols() ([]consensus.FlatConfig, error) {
 	spec := f.spec
-	if spec == "" || spec == "all" {
+	if spec == "all" {
 		spec = "sifter:register,sifter-half:register,priority-max:snapshot"
 	}
 	var cfgs []consensus.FlatConfig
@@ -47,58 +38,25 @@ func (f *mcFlags) protocols() ([]consensus.FlatConfig, error) {
 		}
 		conc, ac, ok := strings.Cut(tok, ":")
 		if !ok {
-			return nil, fmt.Errorf("-mc entry %q: want conciliator:adopt-commit (e.g. sifter:register)", tok)
+			return nil, fmt.Errorf("-protocols entry %q: want conciliator:adopt-commit (e.g. sifter:register)", tok)
 		}
 		cfgs = append(cfgs, consensus.FlatConfig{Conciliator: conc, AC: ac})
 	}
 	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("-mc %q selects no protocols", f.spec)
+		return nil, fmt.Errorf("-protocols %q selects no protocols", f.spec)
 	}
 	return cfgs, nil
 }
 
-func (f *mcFlags) validate(quick bool) (kind sched.Kind, err error) {
-	if _, err := f.protocols(); err != nil {
-		return 0, err
-	}
-	if f.n < 0 || f.trials < 0 {
-		return 0, fmt.Errorf("-mc-n and -mc-trials must be positive")
-	}
-	if f.n == 0 {
-		f.n = 16
-	}
-	if f.trials == 0 {
-		if quick {
-			f.trials = 20_000
-		} else {
-			f.trials = 1_000_000
-		}
-	}
-	name := f.schedK
-	if name == "" {
-		name = "random"
-	}
-	kind, ok := sched.KindByName(name)
-	if !ok {
-		return 0, fmt.Errorf("unknown -mc-sched %q", name)
-	}
-	return kind, nil
-}
-
-// mcRecord is the machine-readable Monte Carlo record written by -mc-json.
+// mcRecord is the machine-readable Monte Carlo record written by -json.
 type mcRecord struct {
-	Schema      string    `json:"schema"` // "conciliator-mc/v1"
-	Seed        uint64    `json:"seed"`
-	N           int       `json:"n"`
-	Trials      int64     `json:"trials"`
-	Sched       string    `json:"sched"`
-	Parallelism int       `json:"parallelism"`
-	GOOS        string    `json:"goos"`
-	GOARCH      string    `json:"goarch"`
-	NumCPU      int       `json:"num_cpu"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	WallSeconds float64   `json:"total_wall_seconds"`
-	Entries     []mcEntry `json:"entries"`
+	recordHeader           // schema "conciliator-mc/v1"
+	N            int       `json:"n"`
+	Trials       int64     `json:"trials"`
+	Sched        string    `json:"sched"`
+	Parallelism  int       `json:"parallelism"`
+	WallSeconds  float64   `json:"total_wall_seconds"`
+	Entries      []mcEntry `json:"entries"`
 }
 
 type mcEntry struct {
@@ -119,38 +77,50 @@ type mcEntry struct {
 	StepsPerSec float64 `json:"steps_per_sec"`
 }
 
-// runMCSweep runs the Monte Carlo mode: one RunMonteCarlo sweep per
-// selected protocol, a rendered table, and optionally the JSON record.
-func runMCSweep(out io.Writer, f *mcFlags, seed uint64, quick bool, parallel int, format string) error {
-	kind, err := f.validate(quick)
-	if err != nil {
+// runMC is the mc subcommand: one RunMonteCarlo sweep per selected
+// protocol, a rendered table, and optionally the JSON record.
+func runMC(args []string, out io.Writer) error {
+	fs, sh := newFlagSet("mc", seedFlag|quickFlag|formatFlag|parallelFlag|trialsFlag)
+	var f mcFlags
+	fs.StringVar(&f.spec, "protocols", "all", "comma-separated conciliator:adopt-commit pairs, or all")
+	fs.IntVar(&f.n, "n", 16, "processes per trial")
+	fs.StringVar(&f.schedK, "sched", "random", "schedule kind driving the trials")
+	fs.StringVar(&f.jsonOut, "json", "", "write a conciliator-mc/v1 JSON record of the sweep to this path")
+	if err := sh.parse(fs, args); err != nil {
 		return err
 	}
 	cfgs, err := f.protocols()
 	if err != nil {
 		return err
 	}
-	if seed == 0 {
-		seed = 20120716
+	if f.n < 1 || sh.trials < 0 {
+		return fmt.Errorf("-n and -trials must be positive")
 	}
+	trials := int64(sh.trials)
+	if trials == 0 {
+		trials = 1_000_000
+		if sh.quick {
+			trials = 20_000
+		}
+	}
+	kind, ok := sched.KindByName(f.schedK)
+	if !ok {
+		return fmt.Errorf("unknown -sched %q", f.schedK)
+	}
+	parallel := sh.parallel
 	if parallel < 1 {
 		parallel = runtime.NumCPU()
 	}
 	rec := mcRecord{
-		Schema:      "conciliator-mc/v1",
-		Seed:        seed,
-		N:           f.n,
-		Trials:      f.trials,
-		Sched:       kind.String(),
-		Parallelism: parallel,
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		recordHeader: newHeader("conciliator-mc/v1", sh.seed),
+		N:            f.n,
+		Trials:       trials,
+		Sched:        kind.String(),
+		Parallelism:  parallel,
 	}
 	tbl := experiment.Table{
 		ID:    "MC",
-		Title: fmt.Sprintf("flat-engine Monte Carlo, n=%d, %d trials, %s schedule", f.n, f.trials, kind),
+		Title: fmt.Sprintf("flat-engine Monte Carlo, n=%d, %d trials, %s schedule", f.n, trials, kind),
 		Columns: []string{"protocol", "agree", "mean", "p50", "p90", "p99 [95% CI]", "p999", "max",
 			"phases max", "Msteps/s"},
 		Notes: []string{
@@ -162,14 +132,14 @@ func runMCSweep(out io.Writer, f *mcFlags, seed uint64, quick bool, parallel int
 	for i, cfg := range cfgs {
 		res, err := consensus.RunMonteCarlo(consensus.MCConfig{
 			N:       f.n,
-			Trials:  f.trials,
+			Trials:  trials,
 			Flat:    cfg,
 			Sched:   kind,
-			Seed:    seed + uint64(i),
+			Seed:    sh.seed + uint64(i),
 			Workers: parallel,
 		})
 		if err != nil {
-			return fmt.Errorf("-mc %s:%s: %w", cfg.Conciliator, cfg.AC, err)
+			return fmt.Errorf("mc %s:%s: %w", cfg.Conciliator, cfg.AC, err)
 		}
 		p99, p99lo, p99hi := res.Steps.QuantileCI(0.99)
 		agree, _ := stats.Proportion(int(res.Agreed), int(res.Trials))
@@ -196,118 +166,12 @@ func runMCSweep(out io.Writer, f *mcFlags, seed uint64, quick bool, parallel int
 			StepsPerSec: res.StepsPerSec,
 		})
 	}
-	switch format {
-	case "markdown":
-		fmt.Fprintln(out, tbl.Markdown())
-	case "tsv":
-		fmt.Fprintf(out, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.TSV())
-	default:
-		fmt.Fprintln(out, tbl.Text())
-	}
+	render(out, sh.format, &tbl)
 	if f.jsonOut != "" {
 		rec.WallSeconds = time.Since(start).Seconds()
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding mc record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(f.jsonOut, data, 0o644); err != nil {
+		if err := writeJSON(f.jsonOut, rec); err != nil {
 			return fmt.Errorf("writing mc record: %w", err)
 		}
 	}
 	return nil
-}
-
-// benchCountdown is the flat-engine image of the controlled-steps
-// microbenchmark bodies: process pid performs a fixed number of trivial
-// operations.
-type benchCountdown struct {
-	steps func(pid int) int
-	left  []int
-}
-
-func (m *benchCountdown) Init(pid int, _ *xrand.Rand) { m.left[pid] = m.steps(pid) }
-
-func (m *benchCountdown) Step(pid int, _ *xrand.Rand) bool {
-	m.left[pid]--
-	return m.left[pid] == 0
-}
-
-// flatStepsRuns is the fixed run count of the flat-steps workloads. The
-// flat engine clears each workload in microseconds, so it takes more
-// runs than the coroutine engine to integrate a stable steps/s figure;
-// since steps/s is time-normalized, flat-steps/X vs controlled-steps/X
-// in one record is still the engine speedup on identical modeled work.
-const flatStepsRuns = 16 * controlledStepsRuns
-
-// flatStepsEntries runs the controlled-steps microbenchmark workloads on
-// the flat state-machine engine and returns one bench entry per workload
-// under the "flat-steps/" id prefix.
-func flatStepsEntries() []benchEntry {
-	cases := []struct {
-		name  string
-		n     int
-		steps func(pid int) int
-		mk    func(n int, seed uint64) sched.Source
-	}{
-		{
-			name:  "round-robin/n=8",
-			n:     8,
-			steps: func(int) int { return 2048 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "round-robin/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-		{
-			name:  "random/n=64",
-			n:     64,
-			steps: func(int) int { return 256 },
-			mk:    func(n int, seed uint64) sched.Source { return sched.NewRandom(n, xrand.New(seed)) },
-		},
-		{
-			name: "skewed-tail/n=64",
-			n:    64,
-			steps: func(pid int) int {
-				if pid == 0 {
-					return 4096
-				}
-				return 1
-			},
-			mk: func(n int, _ uint64) sched.Source { return sched.NewRoundRobin(n) },
-		},
-	}
-	entries := make([]benchEntry, 0, len(cases))
-	for _, tc := range cases {
-		m := &benchCountdown{steps: tc.steps, left: make([]int, tc.n)}
-		fr := sim.NewFlatRunner[*benchCountdown]()
-		var res sim.Result
-		var totalSteps, totalSlots int64
-		start := time.Now()
-		for i := 0; i < flatStepsRuns; i++ {
-			if err := fr.RunInto(tc.mk(tc.n, uint64(i)+1), m, sim.Config{AlgSeed: uint64(i) + 1}, &res); err != nil {
-				// Infinite-schedule workloads far below the slot budget: an
-				// error is an engine bug, not a measurement artifact.
-				panic(err)
-			}
-			totalSteps += res.TotalSteps
-			totalSlots += res.Slots
-		}
-		secs := time.Since(start).Seconds()
-		entry := benchEntry{
-			ID:          "flat-steps/" + tc.name,
-			WallSeconds: secs,
-			Steps:       totalSteps,
-			Slots:       totalSlots,
-		}
-		if secs > 0 {
-			entry.StepsPerSec = float64(totalSteps) / secs
-			entry.SlotsPerSec = float64(totalSlots) / secs
-		}
-		entries = append(entries, entry)
-	}
-	return entries
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMCModeRejectsContradictoryFlags pins the up-front validation of
-// the Monte Carlo run shape: contradictory modes and malformed specs
+// the Monte Carlo run shape: another mode's flags and malformed specs
 // must error before any trial executes.
 func TestMCModeRejectsContradictoryFlags(t *testing.T) {
 	cases := []struct {
@@ -17,20 +17,23 @@ func TestMCModeRejectsContradictoryFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"with all", []string{"-mc", "all", "-all"}, "-experiment/-all/-list"},
-		{"with des", []string{"-mc", "all", "-des"}, "-attack/-des/-fault"},
-		{"with fault", []string{"-mc", "all", "-fault", "all"}, "-attack/-des/-fault"},
-		{"with attack", []string{"-mc", "all", "-attack", "sifter"}, "-attack/-des/-fault"},
-		{"with bench-json", []string{"-mc", "all", "-bench-json", "x.json"}, "-bench-json"},
-		{"bad pair", []string{"-mc", "sifter"}, "conciliator:adopt-commit"},
-		{"bad conciliator", []string{"-mc", "bogus:register", "-mc-trials", "1"}, "unknown flat conciliator"},
-		{"bad sched", []string{"-mc", "all", "-mc-sched", "bogus"}, "unknown -mc-sched"},
-		{"bad format", []string{"-mc", "all", "-format", "bogus"}, "unknown format"},
+		{"with all", []string{"-all"}, unknownFlag},
+		{"with des", []string{"-latency", "exp:1ms"}, unknownFlag},
+		{"with fault", []string{"-kinds", "all"}, unknownFlag},
+		{"with attack", []string{"-budget", "8"}, unknownFlag},
+		{"with bench-json", []string{"-bench-json", "x.json"}, unknownFlag},
+		{"bad pair", []string{"-protocols", "sifter"}, "conciliator:adopt-commit"},
+		{"empty protocols", []string{"-protocols", " , "}, "selects no protocols"},
+		{"bad conciliator", []string{"-protocols", "bogus:register", "-trials", "1"}, "unknown flat conciliator"},
+		{"bad sched", []string{"-sched", "bogus"}, "unknown -sched"},
+		{"bad format", []string{"-format", "bogus"}, "unknown format"},
+		{"zero n", []string{"-n", "0"}, "must be positive"},
+		{"negative trials", []string{"-trials", "-5"}, "must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var b strings.Builder
-			err := run(tc.args, &b)
+			err := run(append([]string{"mc"}, tc.args...), &b)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("args %v: err = %v, want containing %q", tc.args, err, tc.want)
 			}
@@ -45,8 +48,8 @@ func TestMCModeRunsAndWritesRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mc.json")
 	var b strings.Builder
 	err := run([]string{
-		"-mc", "sifter:register,priority-max:snapshot",
-		"-mc-n", "8", "-mc-trials", "200", "-mc-json", path,
+		"mc", "-protocols", "sifter:register,priority-max:snapshot",
+		"-n", "8", "-trials", "200", "-json", path,
 	}, &b)
 	if err != nil {
 		t.Fatalf("mc run failed: %v\noutput:\n%s", err, b.String())
@@ -90,8 +93,8 @@ func TestMCModeDeterministicAcrossParallelism(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "mc.json")
 		var b strings.Builder
 		if err := run([]string{
-			"-mc", "sifter-half:register", "-mc-n", "8", "-mc-trials", "300",
-			"-parallel", par, "-mc-json", path,
+			"mc", "-protocols", "sifter-half:register", "-n", "8", "-trials", "300",
+			"-parallel", par, "-json", path,
 		}, &b); err != nil {
 			t.Fatalf("parallel=%s: %v", par, err)
 		}

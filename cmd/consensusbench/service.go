@@ -1,6 +1,6 @@
-// Service-load mode: a seeded closed-loop load generator against the
+// The load subcommand: a seeded closed-loop load generator against the
 // consensus-as-a-service node, in-process by default or over HTTP with
-// -service-addr, emitting the rsm-service/v1 record.
+// -addr, emitting the rsm-service/v1 record.
 package main
 
 import (
@@ -8,21 +8,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/debugserver"
+	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
 	"github.com/oblivious-consensus/conciliator/internal/rsm"
 	"github.com/oblivious-consensus/conciliator/internal/service"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
 )
 
-// serviceFlags carries the -service-* flag group.
+// serviceFlags are the load subcommand's own flags.
 type serviceFlags struct {
-	load     bool
 	shards   string // comma-separated shard counts to sweep, e.g. "1,4"
 	pipeline int
 	batchMax int
@@ -38,17 +38,11 @@ type serviceFlags struct {
 	baseline string
 }
 
-func (sf *serviceFlags) active() bool {
-	return sf.load || sf.jsonOut != "" || sf.baseline != "" || sf.addr != ""
-}
-
-// serviceRecord is the machine-readable load record written by
-// -service-json: one entry per shard count swept, same host-shape fields
-// as the bench records so the baseline gate can apply its cross-host
-// skip rule.
+// serviceRecord is the machine-readable load record written by -json:
+// one entry per shard count swept, with the host shape the baseline gate
+// compares.
 type serviceRecord struct {
-	Schema          string         `json:"schema"` // "rsm-service/v1"
-	Seed            uint64         `json:"seed"`
+	recordHeader                   // schema "rsm-service/v1"
 	Clients         int            `json:"clients"`
 	DurationSeconds float64        `json:"duration_seconds"`
 	ReadFrac        float64        `json:"read_frac"`
@@ -57,10 +51,6 @@ type serviceRecord struct {
 	Protocol        string         `json:"protocol"`
 	Pipeline        int            `json:"pipeline"`
 	BatchMax        int            `json:"batch_max"`
-	GOOS            string         `json:"goos"`
-	GOARCH          string         `json:"goarch"`
-	NumCPU          int            `json:"num_cpu"`
-	GOMAXPROCS      int            `json:"gomaxprocs"`
 	Entries         []serviceEntry `json:"entries"`
 }
 
@@ -114,15 +104,31 @@ func (r *serviceRecord) Validate() error {
 	return nil
 }
 
-// runServiceLoad is the -service-load run shape.
-func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, format, debugAddr string) error {
+// runLoad is the load subcommand.
+func runLoad(args []string, out io.Writer) error {
+	fs, sh := newFlagSet("load", seedFlag|quickFlag|formatFlag)
+	var sf serviceFlags
+	fs.StringVar(&sf.shards, "shards", "", "comma-separated shard counts to sweep in-process (default 1,4)")
+	fs.IntVar(&sf.pipeline, "pipeline", 0, "in-flight consensus slots per shard (0 = service default)")
+	fs.IntVar(&sf.batchMax, "batch-max", 0, "max ops per consensus slot (0 = service default)")
+	fs.IntVar(&sf.queue, "queue", 0, "per-shard intake queue depth (0 = service default)")
+	fs.IntVar(&sf.clients, "clients", 0, "concurrent closed-loop clients (0 = default 16, quick 8)")
+	fs.DurationVar(&sf.duration, "duration", 0, "load duration per configuration (0 = default 2s, quick 500ms)")
+	fs.Float64Var(&sf.readFrac, "read-frac", 0, "fraction of ops that are reads (0 = default 0.25)")
+	fs.IntVar(&sf.keys, "keys", 0, "keyspace size (0 = default 1024)")
+	fs.StringVar(&sf.skew, "skew", "", "key popularity: uniform or zipf (default uniform)")
+	fs.StringVar(&sf.protocol, "protocol", "", "consensus construction per slot: register, snapshot, or linear (default register)")
+	fs.StringVar(&sf.addr, "addr", "", "drive a running consensusd at this address over HTTP instead of an in-process node")
+	fs.StringVar(&sf.jsonOut, "json", "", "write an rsm-service/v1 JSON load record to this path")
+	fs.StringVar(&sf.baseline, "baseline", "", "compare write throughput against a committed rsm-service/v1 record; exit nonzero on a >10% regression (skipped across host shapes)")
+	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this address while the load runs")
+	if err := sh.parse(fs, args); err != nil {
+		return err
+	}
 	if sf.addr != "" && sf.shards != "" {
-		return fmt.Errorf("-service-addr drives one remote node; -service-shards only applies to in-process sweeps")
+		return fmt.Errorf("-addr drives one remote node; -shards only applies to in-process sweeps")
 	}
-	if seed == 0 {
-		seed = 20120716 // the documented default master seed
-	}
-	if quick {
+	if sh.quick {
 		if sf.duration == 0 {
 			sf.duration = 500 * time.Millisecond
 		}
@@ -146,15 +152,15 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 		sf.readFrac = 0.25
 	}
 	if sf.readFrac < 0 || sf.readFrac >= 1 {
-		return fmt.Errorf("-service-read-frac %v out of range [0, 1)", sf.readFrac)
+		return fmt.Errorf("-read-frac %v out of range [0, 1)", sf.readFrac)
 	}
 
 	// The service's instruments (batch occupancy, queue depth, shard op
-	// counts) live in the metrics registry; service mode always installs
-	// one so -debug-addr exposes them mid-run.
+	// counts) live in the metrics registry; load always installs one so
+	// -debug-addr exposes them mid-run.
 	metrics.SetDefault(metrics.New())
-	if debugAddr != "" {
-		addr, shutdown, err := startDebugServer(debugAddr)
+	if *debugAddr != "" {
+		addr, shutdown, err := debugserver.Start(*debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}
@@ -168,8 +174,7 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 	}
 
 	rec := serviceRecord{
-		Schema:          "rsm-service/v1",
-		Seed:            seed,
+		recordHeader:    newHeader("rsm-service/v1", sh.seed),
 		Clients:         sf.clients,
 		DurationSeconds: sf.duration.Seconds(),
 		ReadFrac:        sf.readFrac,
@@ -178,10 +183,6 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 		Protocol:        protoOrDefault(sf.protocol),
 		Pipeline:        sf.pipeline,
 		BatchMax:        sf.batchMax,
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 	}
 	lc := service.LoadConfig{
 		Clients:  sf.clients,
@@ -189,7 +190,7 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 		ReadFrac: sf.readFrac,
 		Keys:     sf.keys,
 		Skew:     sf.skew,
-		Seed:     seed,
+		Seed:     sh.seed,
 	}
 
 	if sf.addr != "" {
@@ -207,7 +208,7 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 				Pipeline:   sf.pipeline,
 				BatchMax:   sf.batchMax,
 				QueueDepth: sf.queue,
-				Seed:       seed,
+				Seed:       sh.seed,
 				Protocol:   sf.protocol,
 			})
 			if err != nil {
@@ -230,23 +231,22 @@ func runServiceLoad(out io.Writer, sf *serviceFlags, seed uint64, quick bool, fo
 		}
 	}
 
-	printServiceTable(out, &rec, format)
+	render(out, sh.format, serviceTable(&rec))
 
 	if sf.jsonOut != "" {
 		if err := rec.Validate(); err != nil {
 			return fmt.Errorf("refusing to write invalid record: %w", err)
 		}
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("encoding service record: %w", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(sf.jsonOut, data, 0o644); err != nil {
+		if err := writeJSON(sf.jsonOut, rec); err != nil {
 			return fmt.Errorf("writing service record: %w", err)
 		}
 	}
 	if sf.baseline != "" {
-		return compareServiceBaseline(out, &rec, sf.baseline)
+		rates := make([]rate, len(rec.Entries))
+		for i, e := range rec.Entries {
+			rates[i] = rate{id: e.ID, v: e.WriteThroughput}
+		}
+		return compareBaseline(out, sf.baseline, "", "writes/s", rates)
 	}
 	return nil
 }
@@ -270,12 +270,12 @@ func parseShardCounts(spec string) ([]int, error) {
 		}
 		s, err := strconv.Atoi(f)
 		if err != nil || s <= 0 {
-			return nil, fmt.Errorf("bad shard count %q in -service-shards (want positive integers)", f)
+			return nil, fmt.Errorf("bad shard count %q in -shards (want positive integers)", f)
 		}
 		out = append(out, s)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("-service-shards %q names no shard counts", spec)
+		return nil, fmt.Errorf("-shards %q names no shard counts", spec)
 	}
 	return out, nil
 }
@@ -307,98 +307,22 @@ func buildServiceEntry(id string, shards int, rep service.LoadReport, occ *stats
 	return e
 }
 
-func printServiceTable(out io.Writer, rec *serviceRecord, format string) {
-	head := []string{"config", "writes/s", "ops/s", "w_p50us", "w_p99us", "r_p99us", "batch_mean", "errors"}
-	rows := make([][]string, 0, len(rec.Entries))
+func serviceTable(rec *serviceRecord) *experiment.Table {
+	tbl := &experiment.Table{
+		ID: "LOAD",
+		Title: fmt.Sprintf("service load: %d clients, %.1fs, read-frac %.2f, skew %s, protocol %s",
+			rec.Clients, rec.DurationSeconds, rec.ReadFrac, rec.Skew, rec.Protocol),
+		Columns: []string{"config", "writes/s", "ops/s", "w_p50us", "w_p99us", "r_p99us", "batch_mean", "errors"},
+	}
 	for _, e := range rec.Entries {
-		rows = append(rows, []string{
-			e.ID,
+		tbl.AddRow(e.ID,
 			fmt.Sprintf("%.0f", e.WriteThroughput),
 			fmt.Sprintf("%.0f", e.Throughput),
-			strconv.FormatInt(e.WriteP50us, 10),
-			strconv.FormatInt(e.WriteP99us, 10),
-			strconv.FormatInt(e.ReadP99us, 10),
+			e.WriteP50us, e.WriteP99us, e.ReadP99us,
 			fmt.Sprintf("%.1f", e.BatchMean),
-			strconv.FormatInt(e.Errors, 10),
-		})
+			e.Errors)
 	}
-	switch format {
-	case "tsv":
-		fmt.Fprintln(out, strings.Join(head, "\t"))
-		for _, r := range rows {
-			fmt.Fprintln(out, strings.Join(r, "\t"))
-		}
-	case "markdown":
-		fmt.Fprintf(out, "| %s |\n", strings.Join(head, " | "))
-		fmt.Fprintf(out, "|%s\n", strings.Repeat(" --- |", len(head)))
-		for _, r := range rows {
-			fmt.Fprintf(out, "| %s |\n", strings.Join(r, " | "))
-		}
-	default:
-		fmt.Fprintf(out, "service load: %d clients, %.1fs, read-frac %.2f, skew %s, protocol %s\n",
-			rec.Clients, rec.DurationSeconds, rec.ReadFrac, rec.Skew, rec.Protocol)
-		for _, r := range rows {
-			fmt.Fprintf(out, "  %-22s %8s writes/s %8s ops/s  w_p50 %sus w_p99 %sus r_p99 %sus  batch %s  errors %s\n",
-				r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
-		}
-	}
-}
-
-// serviceTolerance mirrors the bench gate: a configuration may fall to
-// 90% of its baseline write throughput before the comparison fails.
-const serviceTolerance = 0.9
-
-// compareServiceBaseline gates this run's write throughput against a
-// committed rsm-service/v1 record, with the same cross-host skip rule as
-// the bench baselines: throughput measured on a different host shape is
-// not comparable, so a NumCPU/GOMAXPROCS mismatch skips loudly instead
-// of failing meaninglessly.
-func compareServiceBaseline(out io.Writer, rec *serviceRecord, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading service baseline: %w", err)
-	}
-	var base serviceRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing service baseline %s: %w", path, err)
-	}
-	if err := base.Validate(); err != nil {
-		return fmt.Errorf("service baseline %s: %w", path, err)
-	}
-	if (base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) ||
-		(base.GOMAXPROCS != 0 && base.GOMAXPROCS != runtime.GOMAXPROCS(0)) {
-		fmt.Fprintf(out, "service-baseline: skipping %s: baseline host (num_cpu=%d, gomaxprocs=%d) does not match this host (num_cpu=%d, gomaxprocs=%d); throughput is not comparable across hosts\n",
-			path, base.NumCPU, base.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-		return nil
-	}
-	baseline := make(map[string]serviceEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseline[e.ID] = e
-	}
-	var failures []string
-	compared := 0
-	for _, e := range rec.Entries {
-		b, ok := baseline[e.ID]
-		if !ok || b.WriteThroughput <= 0 {
-			fmt.Fprintf(out, "service-baseline: %-22s no baseline entry, skipped\n", e.ID)
-			continue
-		}
-		compared++
-		ratio := e.WriteThroughput / b.WriteThroughput
-		fmt.Fprintf(out, "service-baseline: %-22s %9.0f writes/s vs %9.0f baseline (%+.1f%%)\n",
-			e.ID, e.WriteThroughput, b.WriteThroughput, (ratio-1)*100)
-		if ratio < serviceTolerance {
-			failures = append(failures, fmt.Sprintf("%s (%.1f%% of baseline)", e.ID, ratio*100))
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("service-baseline: %s shares no entry ids with this run", path)
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("service-baseline: write throughput regressed more than %d%%: %s",
-			int((1-serviceTolerance)*100), strings.Join(failures, ", "))
-	}
-	return nil
+	return tbl
 }
 
 // httpBackend drives a remote consensusd node through its client API.

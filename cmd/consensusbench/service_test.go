@@ -11,15 +11,15 @@ import (
 	"github.com/oblivious-consensus/conciliator/internal/service"
 )
 
-// runServiceQuick drives the service-load mode with a tiny workload and
+// runServiceQuick drives the load subcommand with a tiny workload and
 // returns the parsed record from path.
 func runServiceQuick(t *testing.T, extra ...string) serviceRecord {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "svc.json")
 	args := append([]string{
-		"-service-load", "-quick", "-seed", "7",
-		"-service-duration", "150ms", "-service-clients", "4",
-		"-service-json", path,
+		"load", "-quick", "-seed", "7",
+		"-duration", "150ms", "-clients", "4",
+		"-json", path,
 	}, extra...)
 	var sb strings.Builder
 	if err := run(args, &sb); err != nil {
@@ -37,7 +37,7 @@ func runServiceQuick(t *testing.T, extra ...string) serviceRecord {
 }
 
 func TestServiceLoadRecord(t *testing.T) {
-	rec := runServiceQuick(t, "-service-shards", "1,2")
+	rec := runServiceQuick(t, "-shards", "1,2")
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("emitted record does not validate: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestServiceLoadRecord(t *testing.T) {
 }
 
 func TestServiceLoadZipfAndProtocol(t *testing.T) {
-	rec := runServiceQuick(t, "-service-shards", "1", "-service-skew", "zipf", "-service-protocol", "snapshot")
+	rec := runServiceQuick(t, "-shards", "1", "-skew", "zipf", "-protocol", "snapshot")
 	if rec.Skew != "zipf" || rec.Protocol != "snapshot" {
 		t.Fatalf("record skew %q protocol %q", rec.Skew, rec.Protocol)
 	}
@@ -75,31 +75,39 @@ func TestServiceLoadZipfAndProtocol(t *testing.T) {
 }
 
 func TestServiceFlagValidation(t *testing.T) {
+	load := func(args ...string) []string {
+		return append([]string{"load", "-duration", "50ms"}, args...)
+	}
 	cases := []struct {
 		name string
 		args []string
+		want string // substring of the error; "" accepts any error
 	}{
-		{"mode mix mc", []string{"-service-load", "-mc", "all"}},
-		{"mode mix attack", []string{"-service-load", "-attack", "all"}},
-		{"mode mix des", []string{"-service-load", "-des"}},
-		{"mode mix fault", []string{"-service-load", "-fault", "all"}},
-		{"mode mix bench", []string{"-service-load", "-bench-json", "x.json"}},
-		{"mode mix experiment", []string{"-service-load", "-experiment", "E1"}},
-		{"mode mix list", []string{"-service-load", "-list"}},
-		{"json without load", []string{"-service-json", "x.json"}},
-		{"addr with shards", []string{"-service-load", "-service-addr", "localhost:1", "-service-shards", "1,4"}},
-		{"bad format", []string{"-service-load", "-format", "yaml"}},
-		{"bad shards", []string{"-service-load", "-service-shards", "1,zero"}},
-		{"zero shards", []string{"-service-load", "-service-shards", "0"}},
-		{"bad skew", []string{"-service-load", "-service-skew", "pareto"}},
-		{"bad read frac", []string{"-service-load", "-service-read-frac", "1.5"}},
-		{"bad protocol", []string{"-service-load", "-service-protocol", "paxos"}},
+		{"mode mix mc", load("-sched", "random"), unknownFlag},
+		{"mode mix attack", load("-budget", "8"), unknownFlag},
+		{"mode mix des", load("-latency", "exp:1ms"), unknownFlag},
+		{"mode mix fault", load("-kinds", "all"), unknownFlag},
+		{"mode mix bench", load("-bench-json", "x.json"), unknownFlag},
+		{"mode mix experiment", load("-experiment", "E1"), unknownFlag},
+		{"mode mix list", load("-list"), unknownFlag},
+		{"json without load", []string{"exp", "-json", "x.json"}, unknownFlag},
+		{"addr with shards", load("-addr", "localhost:1", "-shards", "1,4"), ""},
+		{"bad format", load("-format", "yaml"), ""},
+		{"bad shards", load("-shards", "1,zero"), ""},
+		{"zero shards", load("-shards", "0"), ""},
+		{"bad skew", load("-skew", "pareto"), ""},
+		{"bad read frac", load("-read-frac", "1.5"), ""},
+		{"bad protocol", load("-protocol", "paxos"), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var sb strings.Builder
-			if err := run(tc.args, &sb); err == nil {
+			err := run(tc.args, &sb)
+			if err == nil {
 				t.Fatalf("run(%q) succeeded, want error", tc.args)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}
@@ -108,9 +116,9 @@ func TestServiceFlagValidation(t *testing.T) {
 func TestServiceBaselineGate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "base.json")
 	args := []string{
-		"-service-load", "-quick", "-seed", "7",
-		"-service-duration", "150ms", "-service-clients", "4",
-		"-service-shards", "1", "-service-json", path,
+		"load", "-quick", "-seed", "7",
+		"-duration", "150ms", "-clients", "4",
+		"-shards", "1", "-json", path,
 	}
 	var sb strings.Builder
 	if err := run(args, &sb); err != nil {
@@ -143,14 +151,14 @@ func TestServiceBaselineGate(t *testing.T) {
 		}
 		var out strings.Builder
 		err = run([]string{
-			"-service-load", "-quick", "-seed", "7",
-			"-service-duration", "150ms", "-service-clients", "4",
-			"-service-shards", "1", "-service-baseline", genPath,
+			"load", "-quick", "-seed", "7",
+			"-duration", "150ms", "-clients", "4",
+			"-shards", "1", "-baseline", genPath,
 		}, &out)
 		if err != nil {
 			t.Fatalf("10x-generous baseline failed the gate: %v\n%s", err, out.String())
 		}
-		if !strings.Contains(out.String(), "service-baseline:") {
+		if !strings.Contains(out.String(), "baseline: service-load/s=1") {
 			t.Fatalf("no baseline output:\n%s", out.String())
 		}
 	})
@@ -175,9 +183,9 @@ func TestServiceBaselineGate(t *testing.T) {
 		}
 		var out strings.Builder
 		err = run([]string{
-			"-service-load", "-quick", "-seed", "7",
-			"-service-duration", "150ms", "-service-clients", "4",
-			"-service-shards", "1", "-service-baseline", alienPath,
+			"load", "-quick", "-seed", "7",
+			"-duration", "150ms", "-clients", "4",
+			"-shards", "1", "-baseline", alienPath,
 		}, &out)
 		if err != nil {
 			t.Fatalf("cross-host comparison must skip, not fail: %v\n%s", err, out.String())
@@ -209,9 +217,9 @@ func TestServiceBaselineGate(t *testing.T) {
 		}
 		var out strings.Builder
 		err = run([]string{
-			"-service-load", "-quick", "-seed", "7",
-			"-service-duration", "150ms", "-service-clients", "4",
-			"-service-shards", "1", "-service-baseline", infPath,
+			"load", "-quick", "-seed", "7",
+			"-duration", "150ms", "-clients", "4",
+			"-shards", "1", "-baseline", infPath,
 		}, &out)
 		if err == nil {
 			t.Fatalf("1000x regression passed the gate:\n%s", out.String())
@@ -222,7 +230,7 @@ func TestServiceBaselineGate(t *testing.T) {
 	})
 }
 
-// TestServiceLoadOverHTTP drives a live node through the -service-addr
+// TestServiceLoadOverHTTP drives a live node through the -addr
 // path: the same load generator, but every op crossing a real HTTP hop.
 func TestServiceLoadOverHTTP(t *testing.T) {
 	node, err := service.Start(service.Config{Shards: 2, Seed: 9})
@@ -236,10 +244,10 @@ func TestServiceLoadOverHTTP(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "remote.json")
 	var sb strings.Builder
 	err = run([]string{
-		"-service-load", "-seed", "7",
-		"-service-duration", "150ms", "-service-clients", "4",
-		"-service-addr", strings.TrimPrefix(srv.URL, "http://"),
-		"-service-json", path,
+		"load", "-seed", "7",
+		"-duration", "150ms", "-clients", "4",
+		"-addr", strings.TrimPrefix(srv.URL, "http://"),
+		"-json", path,
 	}, &sb)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
@@ -271,7 +279,7 @@ func TestServiceLoadOverHTTP(t *testing.T) {
 
 func TestServiceRecordValidate(t *testing.T) {
 	good := serviceRecord{
-		Schema: "rsm-service/v1",
+		recordHeader: recordHeader{Schema: "rsm-service/v1"},
 		Entries: []serviceEntry{{
 			ID: "service-load/s=1", Writes: 10, WriteP99us: 100,
 			Throughput: 50, WriteThroughput: 40, Batches: 5, BatchMean: 2,

@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/debugserver"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
 	"github.com/oblivious-consensus/conciliator/internal/service"
 )
@@ -32,6 +33,25 @@ import (
 // shutdownGrace bounds how long the HTTP server waits for in-flight
 // requests during graceful shutdown before cutting them off.
 const shutdownGrace = 30 * time.Second
+
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a slow-header client cannot hold a connection
+	// open forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections that sit idle between
+	// requests for this long.
+	idleTimeout = 2 * time.Minute
+)
+
+// newServer is the client API server: h behind the connection timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
@@ -65,7 +85,7 @@ func run(args []string, out *os.File, ready chan<- string) error {
 	// per-shard instruments resolve against it.
 	metrics.SetDefault(metrics.New())
 	if *debugAddr != "" {
-		dbg, stop, err := startDebugServer(*debugAddr)
+		dbg, stop, err := debugserver.Start(*debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}
@@ -90,7 +110,7 @@ func run(args []string, out *os.File, ready chan<- string) error {
 		node.Close()
 		return err
 	}
-	srv := &http.Server{Handler: service.NewHandler(node)}
+	srv := newServer(service.NewHandler(node))
 	cfg := node.Config()
 	fmt.Fprintf(out, "consensusd: serving on http://%s (shards %d, pipeline %d, batch-max %d, protocol %s)\n",
 		ln.Addr(), cfg.Shards, cfg.Pipeline, cfg.BatchMax, protoName(cfg.Protocol))

@@ -108,3 +108,15 @@ func TestRunFlagValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestServerTimeouts: the API server main runs must bound slow-header
+// and idle connections.
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+}

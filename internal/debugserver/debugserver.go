@@ -1,4 +1,8 @@
-package main
+// Package debugserver serves expvar and net/http/pprof for the
+// commands. It is its own package, not part of internal/metrics, because
+// importing net/http/pprof registers handlers on http.DefaultServeMux as
+// a side effect; only the commands that want a debug server link it.
+package debugserver
 
 import (
 	"expvar"
@@ -11,14 +15,15 @@ import (
 )
 
 // publishOnce guards the expvar registration: expvar.Publish panics on a
-// duplicate name, and tests drive run() more than once per process.
+// duplicate name, and tests start more than one server per process.
 var publishOnce sync.Once
 
-// startDebugServer serves expvar (including the live metrics registry
-// under the "conciliator_metrics" var, same name as consensusbench's) and
-// net/http/pprof on addr, on a private mux so the profiling endpoints
-// never leak onto the client API listener.
-func startDebugServer(addr string) (string, func(), error) {
+// Start serves expvar (including the live metrics registry under the
+// "conciliator_metrics" var) and net/http/pprof on addr. It returns the
+// bound address — addr may end in ":0" — and a shutdown function. The
+// server uses a private mux, not http.DefaultServeMux, so a command's
+// client API, which has its own handler, never gains these endpoints.
+func Start(addr string) (string, func(), error) {
 	publishOnce.Do(func() {
 		expvar.Publish("conciliator_metrics", expvar.Func(func() any {
 			return metrics.Default().Snapshot()

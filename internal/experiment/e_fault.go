@@ -372,7 +372,7 @@ func ReplayRepro(r *fault.Repro) (FaultTrialResult, error) {
 // e17FaultSweep renders a reduced fault matrix as an experiment table:
 // the paper's safety properties hold in every atomic-semantics cell and
 // degrade measurably once register semantics weaken. The full matrix
-// with shrinking and artifacts runs through consensusbench -fault; the
+// with shrinking and artifacts runs through consensusbench fault; the
 // experiment form stays file-free and quick-capable by design.
 func e17FaultSweep() Experiment {
 	return Experiment{
@@ -404,7 +404,7 @@ func e17FaultSweep() Experiment {
 						"proofs' assumptions, so monitor firings there measure how " +
 						"far the guarantees degrade, not bugs.",
 					"The full matrix with counterexample shrinking runs via " +
-						"consensusbench -fault.",
+						"consensusbench fault.",
 				},
 			}
 			for _, cr := range sweep {

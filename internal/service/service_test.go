@@ -219,24 +219,28 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const submitters = 32
-	committed := make(chan int, submitters)
+	const (
+		submitters = 32
+		keys       = 4
+	)
+	// Client c increments key drain-(c%keys); each client reports its own
+	// success count, so the exact per-key total is known after the race.
+	successes := make([]int, submitters)
 	var wg sync.WaitGroup
 	for c := 0; c < submitters; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				_, err := n.Submit(uint32(c), rsm.Op{Kind: rsm.OpInc, Key: fmt.Sprintf("drain-%d", c%4)})
+			for {
+				_, err := n.Submit(uint32(c), rsm.Op{Kind: rsm.OpInc, Key: fmt.Sprintf("drain-%d", c%keys)})
 				if errors.Is(err, ErrClosed) {
-					committed <- i
 					return
 				}
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
-					committed <- i
 					return
 				}
+				successes[c]++
 			}
 		}(c)
 	}
@@ -246,11 +250,12 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	close(committed)
 
+	perKey := make([]int, keys)
 	var want int
-	for c := range committed {
-		want += c
+	for c, s := range successes {
+		perKey[c%keys] += s
+		want += s
 	}
 	var applied int64
 	for _, gs := range n.Status().Groups {
@@ -269,9 +274,17 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	if err := n.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	// Reads still serve the final applied state after Close.
-	if _, ok := n.Get("drain-0"); !ok && want > 0 {
-		t.Fatal("post-Close read lost the applied state")
+	// Reads still serve the final applied state after Close: every key
+	// holds exactly the number of increments that were acknowledged.
+	for k, cnt := range perKey {
+		key := fmt.Sprintf("drain-%d", k)
+		got, ok := n.Get(key)
+		switch {
+		case cnt == 0 && ok:
+			t.Errorf("post-Close read: %s = %q, but no increment was acknowledged", key, got)
+		case cnt > 0 && got != strconv.Itoa(cnt):
+			t.Errorf("post-Close read: %s = %q (present %v), want %d acknowledged increments", key, got, ok, cnt)
+		}
 	}
 }
 
