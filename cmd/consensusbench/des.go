@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/des"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
@@ -201,6 +202,12 @@ type desRow struct {
 	Resyncs       int64   `json:"resyncs,omitempty"`
 	GaveUp        int     `json:"gave_up,omitempty"`
 	RunErrors     int     `json:"run_errors,omitempty"`
+	// WallSeconds is the host time the row's counted runs took, and
+	// EventsPerSec their Events over it: the simulator's throughput. They
+	// live here rather than in des.Result, which stays a pure function
+	// of its Config.
+	WallSeconds  float64 `json:"wall_seconds"`
+	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 // runDES is the des subcommand: for each (n, protocol) cell it runs
@@ -277,7 +284,9 @@ func runDES(args []string, out io.Writer) error {
 			)
 			for _, s := range cellSeeds {
 				cfg := des.Config{N: n, Protocol: protocol, Net: sw.net, Chaos: sw.chaos, Seed: s}
+				start := time.Now()
 				res, rerr := des.Run(cfg)
+				wall := time.Since(start)
 				if rerr != nil {
 					if !sw.weakened {
 						return fmt.Errorf("des n=%d %s: %w", n, protocol, rerr)
@@ -289,6 +298,7 @@ func runDES(args []string, out io.Writer) error {
 					continue
 				}
 				row.Rounds = res.Rounds
+				row.WallSeconds += wall.Seconds()
 				if res.Phases > row.Phases {
 					row.Phases = res.Phases
 				}
@@ -332,6 +342,9 @@ func runDES(args []string, out io.Writer) error {
 			row.StepsP50, row.StepsP90, row.StepsP99 = qs[0], qs[1], qs[2]
 			vsum := stats.Summarize(vtimes)
 			row.VirtualMsMean = vsum.Mean
+			if row.WallSeconds > 0 {
+				row.EventsPerSec = float64(row.Events) / row.WallSeconds
+			}
 			rec.Rows = append(rec.Rows, row)
 			cells := []any{n, protocol, row.Rounds, row.Phases, sum.String(), qs[2], row.StepsMax,
 				row.Retransmits, vsum.String(), fmt.Sprintf("%v", row.AllDecided), row.Violations}

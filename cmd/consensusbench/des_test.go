@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/oblivious-consensus/conciliator/internal/experiment"
+	"github.com/oblivious-consensus/conciliator/internal/sim"
 )
 
 // TestDESFlagValidation: every malformed des flag, and every flag of
@@ -116,6 +119,43 @@ func TestDESSweepSmokeAndRecord(t *testing.T) {
 		if row.StepsMean <= 0 || row.StepsMax <= 0 || row.Events <= 0 {
 			t.Errorf("row %+v: implausible accounting", row)
 		}
+		if row.WallSeconds <= 0 || row.EventsPerSec <= 0 {
+			t.Errorf("row %+v: throughput not recorded", row)
+		}
+	}
+}
+
+// TestBenchJSONCountsDESSteps pins that DES experiments show up in the
+// bench record's step counts: E18's entry must carry exactly the
+// operations its DES runs issued, which in-process runs of the same
+// experiment (deterministic in its parameters) add to sim.Counters.
+func TestBenchJSONCountsDESSteps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := run([]string{"exp", "-experiment", "E18", "-quick", "-bench-json", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec benchRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	if len(rec.Experiments) == 0 || rec.Experiments[0].ID != "E18" {
+		t.Fatalf("first entry is not E18: %+v", rec.Experiments)
+	}
+	got := rec.Experiments[0]
+
+	e18, _ := experiment.ByID("E18")
+	steps0, _ := sim.Counters()
+	e18.Run(experiment.Params{Seed: defaultSeed, Quick: true})
+	steps1, _ := sim.Counters()
+	if want := steps1 - steps0; got.Steps != want || want <= 0 {
+		t.Fatalf("E18 bench entry steps = %d, want the %d operations its DES runs issued", got.Steps, want)
+	}
+	if got.StepsPerSec <= 0 {
+		t.Errorf("E18 steps/sec not computed: %+v", got)
 	}
 }
 

@@ -4,38 +4,51 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/oblivious-consensus/conciliator/internal/memory"
 	"github.com/oblivious-consensus/conciliator/internal/persona"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// This file compiles the conciliators to flat state machines for the
-// sim.FlatMachine engine: per-process cursors and shared objects live in
-// dense slices instead of heap objects and coroutine frames. The
-// correctness contract is observable equivalence with the coroutine
+// This file compiles the conciliators to flat protocol cores: per-process
+// cursors live in dense slices instead of heap objects and coroutine
+// frames, and each shared-memory operation is a memory.Op value. Issue
+// returns a process's next operation without touching shared state and
+// Complete consumes its reply, so the same core runs on any executor
+// that applies ops: the flat engine (Step applies to the core's own
+// memory.Dense; internal/consensus composes the cores over one shared
+// Dense) and the message-passing simulator (internal/des ships each op
+// to its memory server). Object indices in issued ops are core-local,
+// [0, Rounds()); a composition offsets them.
+//
+// The correctness contract is observable equivalence with the coroutine
 // implementations, not code sharing — every machine here must consume
 // the per-process RNG streams in exactly the order persona.New and the
-// coroutine round loops do, and must charge exactly one modeled step per
-// Step call with the same shared-memory semantics as internal/memory.
-// The cross-engine identity tests and FuzzFlatVsCoroutine pin this.
+// coroutine round loops do, and must issue exactly one operation per
+// step with the same shared-memory semantics as internal/memory. The
+// cross-engine identity tests and FuzzFlatVsCoroutine pin this.
 
 // FlatPersonae is the dense persona pool: the flat-engine image of
-// persona.Persona values. Persona identity is the index (the coroutine
-// engine uses pointer identity); all pre-drawn randomness lives in
-// flattened per-round slices. Draw replicates persona.New's draw order
-// exactly: coin first, then per-round priorities, then per-round write
-// bits.
+// persona.Persona values, holding what the flat conciliators read.
+// Persona identity is the index (the coroutine engine uses pointer
+// identity), handed out in draw order, so no draw ever overwrites a
+// persona some process may still hold — not even a restarted process's
+// draw, whose earlier incarnation's persona others may have adopted from
+// a register. All pre-drawn randomness lives in flattened per-round
+// slices. Draw replicates persona.New's draw order exactly: coin first
+// (drawn for its stream position; no flat core reads it), then per-round
+// priorities, then per-round write bits.
 type FlatPersonae struct {
 	prioRounds int
 	prioBound  uint64
 	writeProbs []float64
 
-	vals    []int64
-	origins []int32
-	coins   []bool
-	prios   []uint64
-	bits    []bool
+	vals  []int64
+	prios []uint64
+	bits  []bool
+
+	next int // the id the next Draw fills
 }
 
 // NewFlatPersonae returns an empty pool drawing personae with the given
@@ -49,49 +62,34 @@ func NewFlatPersonae(cfg persona.Config) *FlatPersonae {
 }
 
 // EnsureIDs grows the pool's backing arrays to hold ids [0, count).
-// Growth is geometric, so steady-state reuse across trials does not
-// allocate.
+// Growth is amortized (append's), so steady-state reuse across trials
+// does not allocate.
 func (pp *FlatPersonae) EnsureIDs(count int) {
-	if count <= len(pp.vals) {
-		return
-	}
-	grow := func(n, need int) int {
-		if n == 0 {
-			n = need
-		}
-		for n < need {
-			n *= 2
-		}
-		return n
-	}
-	c := grow(len(pp.vals), count)
-	vals := make([]int64, c)
-	copy(vals, pp.vals)
-	pp.vals = vals
-	origins := make([]int32, c)
-	copy(origins, pp.origins)
-	pp.origins = origins
-	coins := make([]bool, c)
-	copy(coins, pp.coins)
-	pp.coins = coins
-	if pp.prioRounds > 0 {
-		prios := make([]uint64, c*pp.prioRounds)
-		copy(prios, pp.prios)
-		pp.prios = prios
-	}
-	if len(pp.writeProbs) > 0 {
-		bits := make([]bool, c*len(pp.writeProbs))
-		copy(bits, pp.bits)
-		pp.bits = bits
-	}
+	pp.vals = growTo(pp.vals, count)
+	pp.prios = growTo(pp.prios, count*pp.prioRounds)
+	pp.bits = growTo(pp.bits, count*len(pp.writeProbs))
 }
 
-// Draw fills persona id with value val owned by origin, drawing all
-// randomness from rng in the same order persona.New does.
-func (pp *FlatPersonae) Draw(id int, val int64, origin int, rng *xrand.Rand) {
+// growTo extends s with zero values to at least length n.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// Clear forgets every persona; ids are handed out from 0 again.
+func (pp *FlatPersonae) Clear() { pp.next = 0 }
+
+// Draw fills the next unused id with a persona of value val, drawing all
+// randomness from rng in the same order persona.New does, and returns
+// the id.
+func (pp *FlatPersonae) Draw(val int64, rng *xrand.Rand) int32 {
+	id := pp.next
+	pp.next++
+	pp.EnsureIDs(id + 1)
 	pp.vals[id] = val
-	pp.origins[id] = int32(origin)
-	pp.coins[id] = rng.Bool()
+	rng.Bool() // the coin
 	if pp.prioRounds > 0 {
 		base := id * pp.prioRounds
 		for i := 0; i < pp.prioRounds; i++ {
@@ -108,13 +106,11 @@ func (pp *FlatPersonae) Draw(id int, val int64, origin int, rng *xrand.Rand) {
 			pp.bits[base+i] = rng.Bernoulli(prob)
 		}
 	}
+	return int32(id)
 }
 
 // Value returns persona id's input value.
 func (pp *FlatPersonae) Value(id int32) int64 { return pp.vals[id] }
-
-// Origin returns the id of the process that created persona id.
-func (pp *FlatPersonae) Origin(id int32) int32 { return pp.origins[id] }
 
 // Priority returns persona id's pre-drawn priority for round i.
 func (pp *FlatPersonae) Priority(id int32, i int) uint64 {
@@ -143,8 +139,8 @@ func SifterHalfRounds(n int, epsilon float64) int {
 // HalfSifterConfig returns the SifterConfig of the constant-p = 1/2
 // baseline for n processes: SifterHalfRounds rounds, every round writing
 // with probability 1/2. Feeding it to NewSifter and NewFlatSifter yields
-// byte-identical executions of the ablation the DES port calls
-// "sifter-half".
+// byte-identical executions of the ablation the flat and DES engines
+// call "sifter-half".
 func HalfSifterConfig(n int, epsilon float64) SifterConfig {
 	if epsilon <= 0 || epsilon >= 1 {
 		epsilon = 0.5
@@ -156,24 +152,99 @@ func HalfSifterConfig(n int, epsilon float64) SifterConfig {
 	}
 }
 
-// FlatSifter is Algorithm 2 compiled to a flat machine: one int32
-// register cell per round holding a persona id (-1 empty), per-process
-// cursors in dense slices. Single-phase (one Conciliate per process);
-// consensus phase composition lives in internal/consensus.
+// flatCore is the part of a flat conciliator core both algorithms share:
+// the persona pool, per-process cursors — the current persona id and the
+// index of the next operation — and the round objects a standalone Step
+// applies to (created by the first Step; a composition applies the ops
+// to its own memory). Either algorithm's operations complete the same
+// way: a read that found a persona adopts it.
+type flatCore struct {
+	rounds int
+	ops    int // operations per process
+	pp     *FlatPersonae
+	mem    *memory.Dense
+
+	cur    []concCursor // per process
+	inputs []int64
+}
+
+// concCursor is one process's progress through a flat conciliator.
+type concCursor struct {
+	pers int32 // current persona id
+	pos  int32 // next operation index
+}
+
+func newFlatCore(n, rounds, ops int, pcfg persona.Config) flatCore {
+	c := flatCore{
+		rounds: rounds,
+		ops:    ops,
+		pp:     NewFlatPersonae(pcfg),
+		cur:    make([]concCursor, n),
+	}
+	c.pp.EnsureIDs(n)
+	c.Reset(nil)
+	return c
+}
+
+// Rounds returns the number of rounds R the machine executes.
+func (m *flatCore) Rounds() int { return m.rounds }
+
+// Reset prepares the machine for a fresh run with the given inputs
+// (inputs[pid]; nil means input = pid). The slice is read during Init
+// and not retained past the run.
+func (m *flatCore) Reset(inputs []int64) {
+	m.inputs = inputs
+	if m.mem != nil {
+		m.mem.Reset()
+	}
+	m.pp.Clear()
+}
+
+// Init implements sim.FlatMachine: persona creation, the only pre-step
+// randomness of the conciliator body. It (re)starts pid at its first
+// operation, so calling it again restarts a process with a new persona.
+func (m *flatCore) Init(pid int, rng *xrand.Rand) {
+	m.cur[pid] = concCursor{pers: m.pp.Draw(m.input(pid), rng)}
+}
+
+func (m *flatCore) input(pid int) int64 {
+	if m.inputs != nil {
+		return m.inputs[pid]
+	}
+	return int64(pid)
+}
+
+// Complete consumes the reply to pid's issued operation — a read that
+// found a persona adopts it — and reports whether pid's conciliator is
+// finished.
+func (m *flatCore) Complete(pid int, r memory.Reply) bool {
+	c := &m.cur[pid]
+	if r.OK {
+		c.pers = int32(r.Val)
+	}
+	c.pos++
+	return int(c.pos) >= m.ops
+}
+
+func (m *flatCore) apply(op memory.Op) memory.Reply {
+	if m.mem == nil {
+		m.mem = memory.NewDense(0)
+		m.mem.Grow(m.rounds)
+	}
+	return m.mem.Apply(op)
+}
+
+// Value returns the conciliator output of a finished process.
+func (m *flatCore) Value(pid int) int64 { return m.pp.Value(m.cur[pid].pers) }
+
+// FlatSifter is Algorithm 2 compiled to a flat core: one register per
+// round (object index = round) holding a persona id, one operation per
+// round. Single-phase (one Conciliate per process); consensus phase
+// composition lives in internal/consensus.
 //
 // The ablation switches (SharePersonae=false, TrackSurvivors) are not
 // ported; NewFlatSifter rejects configurations that ask for them.
-type FlatSifter struct {
-	n      int
-	rounds int
-	probs  []float64
-	pp     *FlatPersonae
-
-	regs   []int32 // per round: persona id or -1
-	pers   []int32 // per process: current persona id
-	round  []int32 // per process: next round index
-	inputs []int64
-}
+type FlatSifter struct{ flatCore }
 
 var _ sim.FlatMachine = (*FlatSifter)(nil)
 
@@ -202,82 +273,32 @@ func NewFlatSifter(n int, cfg SifterConfig) *FlatSifter {
 			}
 		}
 	}
-	m := &FlatSifter{
-		n:      n,
-		rounds: rounds,
-		probs:  probs,
-		pp:     NewFlatPersonae(persona.Config{WriteProbs: probs}),
-		regs:   make([]int32, rounds),
-		pers:   make([]int32, n),
-		round:  make([]int32, n),
-	}
-	m.pp.EnsureIDs(n)
-	m.Reset(nil)
-	return m
+	return &FlatSifter{newFlatCore(n, rounds, rounds, persona.Config{WriteProbs: probs})}
 }
 
-// Rounds returns the number of rounds R the machine executes.
-func (m *FlatSifter) Rounds() int { return m.rounds }
-
-// Reset prepares the machine for a fresh run with the given inputs
-// (inputs[pid]; nil means input = pid). The slice is read during Init
-// and not retained past the run.
-func (m *FlatSifter) Reset(inputs []int64) {
-	m.inputs = inputs
-	for i := range m.regs {
-		m.regs[i] = -1
+// Issue returns pid's next operation: the round's single write of its
+// persona (pre-drawn bit set) or read of the round register.
+func (m *FlatSifter) Issue(pid int) memory.Op {
+	c := m.cur[pid]
+	if m.pp.WriteBit(c.pers, int(c.pos)) {
+		return memory.Op{Kind: memory.OpWrite, Obj: c.pos, Val: int64(c.pers)}
 	}
-	for pid := 0; pid < m.n; pid++ {
-		m.pers[pid] = int32(pid)
-		m.round[pid] = 0
-	}
-}
-
-// Init implements sim.FlatMachine: persona creation, the only pre-step
-// randomness of the sifter body.
-func (m *FlatSifter) Init(pid int, rng *xrand.Rand) {
-	val := int64(pid)
-	if m.inputs != nil {
-		val = m.inputs[pid]
-	}
-	m.pp.Draw(pid, val, pid, rng)
+	return memory.Op{Kind: memory.OpRead, Obj: c.pos}
 }
 
 // Step implements sim.FlatMachine: one sifting round, exactly one
 // register operation.
 func (m *FlatSifter) Step(pid int, _ *xrand.Rand) bool {
-	i := m.round[pid]
-	pers := m.pers[pid]
-	if m.pp.WriteBit(pers, int(i)) {
-		m.regs[i] = pers
-	} else if r := m.regs[i]; r >= 0 {
-		m.pers[pid] = r
-	}
-	m.round[pid] = i + 1
-	return int(i+1) >= m.rounds
+	return m.Complete(pid, m.apply(m.Issue(pid)))
 }
-
-// Value returns the conciliator output of a finished process.
-func (m *FlatSifter) Value(pid int) int64 { return m.pp.Value(m.pers[pid]) }
 
 // FlatPriorityMax is Algorithm 1's footnote-1 max-register variant
-// compiled to a flat machine: per round one unit-cost max register held
-// as a (key, persona id) pair, two operations per round (WriteMax, then
-// ReadMax-and-adopt). Only the UseMaxRegisters configuration is ported;
-// snapshot rounds, tree max registers, compact values, and the ablation
-// switches are rejected.
-type FlatPriorityMax struct {
-	n      int
-	rounds int
-	bound  uint64
-	pp     *FlatPersonae
-
-	maxKey  []uint64 // per round: incumbent key
-	maxPers []int32  // per round: incumbent persona id, -1 empty
-	pers    []int32  // per process
-	pos     []int32  // per process: operation index (2 per round)
-	inputs  []int64
-}
+// compiled to a flat core: per round one unit-cost max register (object
+// index = round) holding a (priority, persona id) pair, two operations
+// per round (WriteMax, then ReadMax-and-adopt). Only the UseMaxRegisters
+// configuration is ported; snapshot rounds, tree max registers, compact
+// values, and the ablation switches are rejected.
+type FlatPriorityMax struct{ flatCore }
 
 var _ sim.FlatMachine = (*FlatPriorityMax)(nil)
 
@@ -302,67 +323,24 @@ func NewFlatPriorityMax(n int, cfg PriorityConfig) *FlatPriorityMax {
 	case cfg.PaperPriorityRange:
 		bound = uint64(math.Ceil(float64(rounds) * float64(n) * float64(n) / cfg.Epsilon))
 	}
-	m := &FlatPriorityMax{
-		n:       n,
-		rounds:  rounds,
-		bound:   bound,
-		pp:      NewFlatPersonae(persona.Config{PriorityRounds: rounds, PriorityBound: bound}),
-		maxKey:  make([]uint64, rounds),
-		maxPers: make([]int32, rounds),
-		pers:    make([]int32, n),
-		pos:     make([]int32, n),
-	}
-	m.pp.EnsureIDs(n)
-	m.Reset(nil)
-	return m
+	return &FlatPriorityMax{newFlatCore(n, rounds, 2*rounds, persona.Config{PriorityRounds: rounds, PriorityBound: bound})}
 }
 
-// Rounds returns the number of rounds R the machine executes.
-func (m *FlatPriorityMax) Rounds() int { return m.rounds }
-
-// Reset prepares the machine for a fresh run with the given inputs
-// (nil means input = pid).
-func (m *FlatPriorityMax) Reset(inputs []int64) {
-	m.inputs = inputs
-	for i := 0; i < m.rounds; i++ {
-		m.maxKey[i] = 0
-		m.maxPers[i] = -1
+// Issue returns pid's next operation: alternately WriteMax of its
+// persona under the round's pre-drawn priority and ReadMax. The ReadMax
+// follows the process's own WriteMax, so it always finds a persona to
+// adopt, as in the coroutine round.
+func (m *FlatPriorityMax) Issue(pid int) memory.Op {
+	c := m.cur[pid]
+	i := c.pos / 2
+	if c.pos&1 == 0 {
+		return memory.Op{Kind: memory.OpWriteMax, Obj: i, Key: m.pp.Priority(c.pers, int(i)), Val: int64(c.pers)}
 	}
-	for pid := 0; pid < m.n; pid++ {
-		m.pers[pid] = int32(pid)
-		m.pos[pid] = 0
-	}
+	return memory.Op{Kind: memory.OpReadMax, Obj: i}
 }
 
-// Init implements sim.FlatMachine.
-func (m *FlatPriorityMax) Init(pid int, rng *xrand.Rand) {
-	val := int64(pid)
-	if m.inputs != nil {
-		val = m.inputs[pid]
-	}
-	m.pp.Draw(pid, val, pid, rng)
-}
-
-// Step implements sim.FlatMachine: alternating WriteMax / ReadMax-adopt
-// operations, two per round, with the max register's semantics (strictly
-// greater key replaces; ties keep the incumbent).
+// Step implements sim.FlatMachine: one WriteMax or ReadMax-adopt
+// operation.
 func (m *FlatPriorityMax) Step(pid int, _ *xrand.Rand) bool {
-	pos := m.pos[pid]
-	i := int(pos) / 2
-	if pos&1 == 0 {
-		key := m.pp.Priority(m.pers[pid], i)
-		if m.maxPers[i] < 0 || key > m.maxKey[i] {
-			m.maxKey[i] = key
-			m.maxPers[i] = m.pers[pid]
-		}
-	} else {
-		// The process's own WriteMax preceded, so the register is never
-		// empty here; adopt unconditionally, as the coroutine round does.
-		m.pers[pid] = m.maxPers[i]
-	}
-	m.pos[pid] = pos + 1
-	return int(pos+1) >= 2*m.rounds
+	return m.Complete(pid, m.apply(m.Issue(pid)))
 }
-
-// Value returns the conciliator output of a finished process.
-func (m *FlatPriorityMax) Value(pid int) int64 { return m.pp.Value(m.pers[pid]) }

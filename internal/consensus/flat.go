@@ -5,19 +5,28 @@ import (
 
 	"github.com/oblivious-consensus/conciliator/internal/adoptcommit"
 	"github.com/oblivious-consensus/conciliator/internal/conciliator"
+	"github.com/oblivious-consensus/conciliator/internal/memory"
 	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
 // This file compiles the full conciliator + adopt-commit phase loop to a
-// sim.FlatMachine: per-process phase cursors live in dense slices, each
-// phase's conciliator is a flat machine from internal/conciliator, and
-// each phase's adopt-commit object is a flat core from
-// internal/adoptcommit. The observable-equivalence contract with the
-// coroutine Protocol (EquivalentProtocol builds the matching one) is
-// pinned by the cross-engine identity tests and FuzzFlatVsCoroutine:
-// same slots, same per-process step counts, same decisions under every
-// schedule and algorithm seed.
+// flat protocol core: per-process phase cursors live in a dense slice,
+// each phase's conciliator is a flat core from internal/conciliator, and
+// each phase's adopt-commit is a flat core from internal/adoptcommit.
+// Every shared object of every phase is a cell of one memory.Dense,
+// phase ph owning the object indices [ph*perPhase, (ph+1)*perPhase):
+// first the conciliator's rounds, then the adopt-commit's objects.
+//
+// The core is split into Issue (a process's next operation, as a
+// memory.Op) and Complete (consume its reply), so it has two executors:
+// Step applies each op to the Dense memory in the same call, which makes
+// FlatConsensus a sim.FlatMachine, and internal/des ships each op to its
+// memory server over a stop-and-wait RPC. The observable-equivalence
+// contract with the coroutine Protocol (EquivalentProtocol builds the
+// matching one) is pinned by the cross-engine identity tests and
+// FuzzFlatVsCoroutine: same slots, same per-process step counts, same
+// decisions under every schedule and algorithm seed.
 
 // Conciliator and adopt-commit selectors for FlatConfig.
 const (
@@ -69,8 +78,11 @@ func (cfg FlatConfig) sifterConfig(n int) conciliator.SifterConfig {
 	return conciliator.SifterConfig{Epsilon: cfg.Epsilon}
 }
 
+// priorityConfig draws priorities from the paper's range
+// {1..ceil(R n^2 / epsilon)}, which keeps keys inside int64 for the
+// message-passing simulator's max-register monitor.
 func (cfg FlatConfig) priorityConfig() conciliator.PriorityConfig {
-	return conciliator.PriorityConfig{Epsilon: cfg.Epsilon, UseMaxRegisters: true}
+	return conciliator.PriorityConfig{Epsilon: cfg.Epsilon, UseMaxRegisters: true, PaperPriorityRange: true}
 }
 
 const (
@@ -79,33 +91,41 @@ const (
 )
 
 // FlatConsensus is the phase loop of Protocol.ProposeWithPhases compiled
-// to a flat machine. Per-phase objects are created lazily the first time
-// any process enters the phase (bookkeeping, no modeled steps, exactly
-// like Protocol.phase) and are retained across Reset, so steady-state
-// Monte Carlo trials run without allocation.
+// to a flat core. Per-phase conciliators and memory cells are created
+// lazily the first time any process enters the phase (bookkeeping, no
+// modeled steps, exactly like Protocol.phase) and are retained across
+// Reset, so steady-state Monte Carlo trials run without allocation.
 type FlatConsensus struct {
 	n         int
 	cfg       FlatConfig
 	concKind  int8
 	binary    bool
 	maxPhases int
+	rounds    int32 // conciliator rounds per phase
+	perPhase  int32 // objects per phase
 
-	// Per-process cursors.
-	pref    []int64
-	phase   []int32
-	inConc  []bool
-	acCur   []adoptcommit.FlatACCursor
-	acVal   []int64
-	decided []bool
-	phases  []int32 // phases used by a decided process
+	// pref is each process's preference; the per-phase conciliators
+	// read it as their input.
+	pref  []int64
+	procs []flatProc
 
-	// Per-phase objects, indexed by phase, grown lazily.
+	// Per-phase conciliators, indexed by phase, grown lazily.
 	sifters []*conciliator.FlatSifter
 	prios   []*conciliator.FlatPriorityMax
-	regACs  []adoptcommit.FlatBinaryAC
-	snapACs []*adoptcommit.FlatSnapshotAC
+	snapAC  adoptcommit.FlatSnapshotAC
 
+	mem    *memory.Dense
 	inputs []int64
+}
+
+// flatProc is one process's phase cursor.
+type flatProc struct {
+	acVal   int64 // the phase's adopt-commit input
+	phase   int32
+	phases  int32 // phases used by a decided process
+	acCur   adoptcommit.FlatACCursor
+	inConc  bool
+	decided bool
 }
 
 var _ sim.FlatMachine = (*FlatConsensus)(nil)
@@ -119,25 +139,28 @@ func NewFlat(n int, cfg FlatConfig) (*FlatConsensus, error) {
 		cfg:       cfg,
 		maxPhases: cfg.MaxPhases,
 		pref:      make([]int64, n),
-		phase:     make([]int32, n),
-		inConc:    make([]bool, n),
-		acCur:     make([]adoptcommit.FlatACCursor, n),
-		acVal:     make([]int64, n),
-		decided:   make([]bool, n),
-		phases:    make([]int32, n),
+		procs:     make([]flatProc, n),
+		mem:       memory.NewDense(n),
 	}
 	switch cfg.Conciliator {
 	case ConcSifter, ConcSifterHalf:
 		m.concKind = concKindSifter
+		m.sifters = []*conciliator.FlatSifter{conciliator.NewFlatSifter(n, cfg.sifterConfig(n))}
+		m.rounds = int32(m.sifters[0].Rounds())
 	case ConcPriorityMax:
 		m.concKind = concKindPriorityMax
+		m.prios = []*conciliator.FlatPriorityMax{conciliator.NewFlatPriorityMax(n, cfg.priorityConfig())}
+		m.rounds = int32(m.prios[0].Rounds())
 	default:
 		return nil, fmt.Errorf("consensus: unknown flat conciliator %q", cfg.Conciliator)
 	}
 	switch cfg.AC {
 	case ACRegister:
 		m.binary = true
+		m.perPhase = m.rounds + adoptcommit.BinaryACObjects
 	case ACSnapshot:
+		m.snapAC = adoptcommit.NewFlatSnapshotAC(n)
+		m.perPhase = m.rounds + int32(m.snapAC.Objects())
 	default:
 		return nil, fmt.Errorf("consensus: unknown flat adopt-commit %q", cfg.AC)
 	}
@@ -194,12 +217,8 @@ func (m *FlatConsensus) Reset(inputs []int64) {
 		}
 	}
 	m.inputs = inputs
-	for pid := 0; pid < m.n; pid++ {
-		m.phase[pid] = 0
-		m.inConc[pid] = true
-		m.acCur[pid] = adoptcommit.FlatACCursor{}
-		m.decided[pid] = false
-		m.phases[pid] = 0
+	for pid := range m.procs {
+		m.procs[pid] = flatProc{inConc: true}
 	}
 	for _, s := range m.sifters {
 		s.Reset(m.pref)
@@ -207,18 +226,13 @@ func (m *FlatConsensus) Reset(inputs []int64) {
 	for _, p := range m.prios {
 		p.Reset(m.pref)
 	}
-	for i := range m.regACs {
-		m.regACs[i].Reset()
-	}
-	for _, ac := range m.snapACs {
-		ac.Reset()
-	}
+	m.mem.Reset()
 	m.enterPhase(0)
 }
 
-// enterPhase makes sure phase ph's conciliator and adopt-commit objects
-// exist. Lazy creation mirrors Protocol.phase: bookkeeping only, no
-// modeled steps.
+// enterPhase makes sure phase ph's conciliator and memory cells exist.
+// Lazy creation mirrors Protocol.phase: bookkeeping only, no modeled
+// steps.
 func (m *FlatConsensus) enterPhase(ph int) {
 	switch m.concKind {
 	case concKindSifter:
@@ -234,27 +248,29 @@ func (m *FlatConsensus) enterPhase(ph int) {
 			m.prios = append(m.prios, p)
 		}
 	}
-	if m.binary {
-		for len(m.regACs) <= ph {
-			m.regACs = append(m.regACs, adoptcommit.FlatBinaryAC{})
-		}
-	} else {
-		for len(m.snapACs) <= ph {
-			m.snapACs = append(m.snapACs, adoptcommit.NewFlatSnapshotAC(m.n))
-		}
-	}
+	m.mem.Grow((ph + 1) * int(m.perPhase))
 }
 
 // Init implements sim.FlatMachine: record the input preference and draw
 // the phase-0 persona, the only pre-first-step randomness of the
 // coroutine body.
 func (m *FlatConsensus) Init(pid int, rng *xrand.Rand) {
-	v := int64(pid % 2)
+	m.pref[pid] = int64(pid % 2)
 	if m.inputs != nil {
-		v = m.inputs[pid]
+		m.pref[pid] = m.inputs[pid]
 	}
-	m.pref[pid] = v
 	m.concInit(0, pid, rng)
+}
+
+// Restart is an amnesiac crash-recovery of process pid: it forgets its
+// progress and re-runs the protocol from phase 0 with its input, drawing
+// the phase-0 persona from rng now. Persona ids are handed out in draw
+// order, so the new incarnation's personae never overwrite the earlier
+// incarnation's, which other processes may have adopted from a register;
+// the shared memory keeps everything the earlier incarnation wrote.
+func (m *FlatConsensus) Restart(pid int, rng *xrand.Rand) {
+	m.procs[pid] = flatProc{inConc: true}
+	m.Init(pid, rng)
 }
 
 // concInit draws process pid's phase-ph persona, reading pref[pid] as
@@ -269,27 +285,57 @@ func (m *FlatConsensus) concInit(ph, pid int, rng *xrand.Rand) {
 	}
 }
 
+// Issue returns process pid's next shared-memory operation, of the
+// current phase's conciliator or adopt-commit, without touching shared
+// state.
+func (m *FlatConsensus) Issue(pid int) memory.Op {
+	p := &m.procs[pid]
+	var op memory.Op
+	switch {
+	case p.inConc && m.concKind == concKindSifter:
+		op = m.sifters[p.phase].Issue(pid)
+	case p.inConc:
+		op = m.prios[p.phase].Issue(pid)
+	case m.binary:
+		op = adoptcommit.FlatBinaryAC{}.Issue(p.acCur, p.acVal)
+		op.Obj += m.rounds
+	default:
+		op = m.snapAC.Issue(p.acCur, pid, p.acVal)
+		op.Obj += m.rounds
+	}
+	op.Obj += p.phase * m.perPhase
+	return op
+}
+
 // Step implements sim.FlatMachine: exactly one shared-memory operation
 // of the current phase's conciliator or adopt-commit object.
 func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
-	ph := int(m.phase[pid])
-	if m.inConc[pid] {
+	return m.Complete(pid, m.mem.Apply(m.Issue(pid)), rng)
+}
+
+// Complete consumes the reply to pid's issued operation and reports
+// whether pid decided. Entering the next phase draws its persona from
+// rng, at the same position in pid's stream as the coroutine.
+func (m *FlatConsensus) Complete(pid int, r memory.Reply, rng *xrand.Rand) bool {
+	p := &m.procs[pid]
+	ph := int(p.phase)
+	if p.inConc {
 		var fin bool
 		switch m.concKind {
 		case concKindSifter:
 			s := m.sifters[ph]
-			if fin = s.Step(pid, rng); fin {
-				m.acVal[pid] = s.Value(pid)
+			if fin = s.Complete(pid, r); fin {
+				p.acVal = s.Value(pid)
 			}
 		case concKindPriorityMax:
-			p := m.prios[ph]
-			if fin = p.Step(pid, rng); fin {
-				m.acVal[pid] = p.Value(pid)
+			c := m.prios[ph]
+			if fin = c.Complete(pid, r); fin {
+				p.acVal = c.Value(pid)
 			}
 		}
 		if fin {
-			m.inConc[pid] = false
-			m.acCur[pid] = adoptcommit.FlatACCursor{}
+			p.inConc = false
+			p.acCur = adoptcommit.FlatACCursor{}
 		}
 		// A conciliator's last operation is never the body's last: the
 		// phase's adopt-commit Propose always follows.
@@ -299,28 +345,28 @@ func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
 	var done, commit bool
 	var out int64
 	if m.binary {
-		done, commit, out = m.regACs[ph].Step(&m.acCur[pid], m.acVal[pid])
+		done, commit, out = adoptcommit.FlatBinaryAC{}.Complete(&p.acCur, p.acVal, r)
 	} else {
-		done, commit, out = m.snapACs[ph].Step(&m.acCur[pid], pid, m.acVal[pid])
+		done, commit, out = m.snapAC.Complete(&p.acCur, p.acVal, r)
 	}
 	if !done {
 		return false
 	}
 	m.pref[pid] = out
 	if commit {
-		m.decided[pid] = true
-		m.phases[pid] = int32(ph + 1)
+		p.decided = true
+		p.phases = int32(ph + 1)
 		return true
 	}
 	if ph+1 >= m.maxPhases {
 		// Safety valve, exactly like ProposeWithPhases: return the
 		// current preference, which is still some process's input.
-		m.decided[pid] = true
-		m.phases[pid] = int32(m.maxPhases)
+		p.decided = true
+		p.phases = int32(m.maxPhases)
 		return true
 	}
-	m.phase[pid] = int32(ph + 1)
-	m.inConc[pid] = true
+	p.phase = int32(ph + 1)
+	p.inConc = true
 	m.enterPhase(ph + 1)
 	// Entering the next conciliator draws its persona now — local
 	// computation between this operation and the process's next one,
@@ -329,12 +375,26 @@ func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
 	return false
 }
 
-// Output returns the decision of a finished process.
+// Output returns the decision of a finished process; before that, its
+// current preference.
 func (m *FlatConsensus) Output(pid int) int64 { return m.pref[pid] }
+
+// Rounds returns the conciliator rounds per phase.
+func (m *FlatConsensus) Rounds() int { return int(m.rounds) }
+
+// Phase returns the phase process pid is executing (or decided in).
+func (m *FlatConsensus) Phase(pid int) int { return int(m.procs[pid].phase) }
+
+// InAC reports whether process pid is in its phase's adopt-commit.
+func (m *FlatConsensus) InAC(pid int) bool { return !m.procs[pid].inConc }
+
+// ACInput returns the value process pid proposes to its phase's
+// adopt-commit (meaningful once InAC).
+func (m *FlatConsensus) ACInput(pid int) int64 { return m.procs[pid].acVal }
 
 // Decided reports whether process pid reached a decision (true for every
 // finished process).
-func (m *FlatConsensus) Decided(pid int) bool { return m.decided[pid] }
+func (m *FlatConsensus) Decided(pid int) bool { return m.procs[pid].decided }
 
 // Phases returns how many phases a decided process executed.
-func (m *FlatConsensus) Phases(pid int) int { return int(m.phases[pid]) }
+func (m *FlatConsensus) Phases(pid int) int { return int(m.procs[pid].phases) }

@@ -476,3 +476,46 @@ func TestDedupExactlyOnceUnderChaos(t *testing.T) {
 		t.Fatalf("chaos plan materialized no crashes: %+v", res)
 	}
 }
+
+func TestCrashOfDecidedProcessIsIgnored(t *testing.T) {
+	// A partition holds processes 4..7 off the server for 50ms, so 0..3
+	// decide alone long before it heals. A crash aimed at decided process
+	// 0 must be a no-op — no crash, no restart, no resync, under either
+	// restart variant — while the same crash aimed at the still-undecided
+	// process 7 counts.
+	base := Config{
+		N:        8,
+		Protocol: ProtoSifter,
+		Seed:     5,
+		Net: NetConfig{
+			Latency:    LatencyDist{Kind: LatFixed, Mean: 100 * time.Microsecond},
+			Partitions: []Partition{{From: 0, Until: 50 * time.Millisecond, Frac: 0.5}},
+		},
+	}
+	clean, err := Run(base)
+	requireClean(t, clean, err)
+	for _, restart := range []RestartKind{RestartDurable, RestartAmnesiac} {
+		crashAt := func(target int32) Result {
+			cfg := base
+			cfg.Chaos = ChaosConfig{Events: []ChaosEvent{
+				{Target: target, At: 40 * time.Millisecond, Down: time.Millisecond, Restart: restart},
+			}}
+			res, err := Run(cfg)
+			requireClean(t, res, err)
+			return res
+		}
+		decided := crashAt(0)
+		if decided.Crashes != 0 || decided.Restarts != 0 || decided.Resyncs != 0 {
+			t.Errorf("%v crash of a decided process counted: crashes=%d restarts=%d resyncs=%d",
+				restart, decided.Crashes, decided.Restarts, decided.Resyncs)
+		}
+		if !reflect.DeepEqual(decided.Steps, clean.Steps) || decided.Decision != clean.Decision {
+			t.Errorf("%v crash of a decided process changed the run: steps %v vs %v",
+				restart, decided.Steps, clean.Steps)
+		}
+		if live := crashAt(7); live.Crashes != 1 || live.Restarts != 1 {
+			t.Errorf("%v crash of an undecided process: crashes=%d restarts=%d, want 1 each",
+				restart, live.Crashes, live.Restarts)
+		}
+	}
+}

@@ -5,9 +5,13 @@
 //
 // The model is the classic client/server emulation of shared memory:
 // every register, max register, and conflict-detector flag lives on a
-// memory server node, and each of the n processes runs the conciliator +
-// adopt-commit stack as an explicit event-driven state machine that
-// issues one stop-and-wait RPC per shared-memory operation. There are no
+// memory server node. Processes carry no protocol code of their own:
+// each of the n processes runs the flat protocol core
+// consensus.FlatConsensus — the conciliator + adopt-commit code the flat
+// Monte Carlo engine runs — and ships each operation the core issues as
+// one stop-and-wait RPC, feeding the reply back to the core. This package
+// is only the executor: event queue, network, RPC client, memory server,
+// and chaos. There are no
 // goroutines and no real time: a priority event queue keyed by virtual
 // nanoseconds (ties broken by insertion order) drives everything, so a
 // run is a pure function of its Config — including every latency sample,
@@ -34,22 +38,24 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 )
 
-// Protocol names accepted by Config.Protocol.
+// Protocol names accepted by Config.Protocol: the flat conciliators a run
+// composes with the binary register adopt-commit.
 const (
 	// ProtoSifter is Algorithm 2 with the paper's tuned per-round write
 	// probabilities: O(log log n) rounds.
-	ProtoSifter = "sifter"
+	ProtoSifter = consensus.ConcSifter
 	// ProtoSifterHalf is the constant-probability (p = 1/2) sifter: the
 	// classical O(log n)-round baseline the tuned schedule is measured
 	// against.
-	ProtoSifterHalf = "sifter-half"
+	ProtoSifterHalf = consensus.ConcSifterHalf
 	// ProtoPriorityMax is Algorithm 1 in its footnote-1 form: priorities
 	// resolved through a max register instead of snapshots, O(log* n)
 	// rounds and O(1) server work per operation.
-	ProtoPriorityMax = "priority-max"
+	ProtoPriorityMax = consensus.ConcPriorityMax
 )
 
 // Protocols lists the supported protocol names in presentation order.

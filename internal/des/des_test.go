@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/memory"
+	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
@@ -13,17 +15,17 @@ func TestEventQueueOrdering(t *testing.T) {
 	var q eventQueue
 	times := []int64{50, 10, 30, 10, 20, 10, 40}
 	for i, at := range times {
-		q.push(at, int32(i), evDeliver, message{val: int32(i)})
+		q.push(at, int32(i), evDeliver, message{Op: memory.Op{Val: int64(i)}})
 	}
 	var got []int64
-	var ids []int32
+	var ids []int64
 	for {
 		ev, ok := q.pop()
 		if !ok {
 			break
 		}
 		got = append(got, ev.at)
-		ids = append(ids, ev.msg.val)
+		ids = append(ids, ev.msg.Val)
 	}
 	want := []int64{10, 10, 10, 20, 30, 40, 50}
 	if !reflect.DeepEqual(got, want) {
@@ -251,5 +253,18 @@ func TestParsePartition(t *testing.T) {
 		if _, err := ParsePartition(bad); err == nil {
 			t.Errorf("ParsePartition(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestRunCountsSteps pins that Run adds exactly the operations its
+// processes issued to the process-wide step counter the bench records
+// read.
+func TestRunCountsSteps(t *testing.T) {
+	before, _ := sim.Counters()
+	res, err := Run(Config{N: 32, Protocol: ProtoPriorityMax, Seed: 3, Net: NetConfig{Loss: 0.1}})
+	requireClean(t, res, err)
+	after, _ := sim.Counters()
+	if after-before != res.TotalSteps() || res.TotalSteps() == 0 {
+		t.Fatalf("sim.Counters advanced by %d steps, want the run's %d", after-before, res.TotalSteps())
 	}
 }

@@ -22,10 +22,10 @@ const (
 	// the operation the timer guards (and msg.inc its incarnation), so
 	// stale timers are no-ops.
 	evTimer
-	// evCrash takes node `to` down; msg.key carries the downtime in
-	// virtual ns and msg.val the RestartKind.
+	// evCrash takes node `to` down; msg.Key carries the downtime in
+	// virtual ns and msg.Val the RestartKind.
 	evCrash
-	// evRestart brings node `to` back up; msg.val carries the
+	// evRestart brings node `to` back up; msg.Val carries the
 	// RestartKind that decides what survived.
 	evRestart
 )
@@ -79,7 +79,6 @@ func (q *eventQueue) pop() (event, bool) {
 	top := q.h[0]
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
-	q.h[last] = event{} // release the persona pointer
 	q.h = q.h[:last]
 	// Sift down.
 	i := 0

@@ -2,58 +2,21 @@ package des
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"github.com/oblivious-consensus/conciliator/internal/conciliator"
+	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
-	"github.com/oblivious-consensus/conciliator/internal/persona"
+	"github.com/oblivious-consensus/conciliator/internal/memory"
+	"github.com/oblivious-consensus/conciliator/internal/sim"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
-// pcState is where a process's state machine is parked while it waits
-// for the reply to its outstanding operation. Every transition consumes
-// exactly one reply and issues at most one new request; there are no
-// goroutines and no blocking.
-type pcState uint8
-
-const (
-	// Conciliator states.
-	pcSiftOp    pcState = iota // sifter: the round's single write-or-read
-	pcPrioWrite                // priority-max: WriteMax of this round
-	pcPrioRead                 // priority-max: ReadMax of this round
-
-	// Adopt-commit states (the binary RegisterAC ported op by op; see
-	// adoptcommit.RegisterAC and FlagsCD for the shared-memory original).
-	pcACFlagWrite      // writing own conflict-detector flag
-	pcACFlagRead       // reading the other flag
-	pcACDirtyWrite     // conflict path: marking dirty
-	pcACCleanReadAdopt // conflict path: reading clean to adopt
-	pcACCleanWrite     // clean path: writing clean
-	pcACDirtyRead      // clean path: checking dirty
-	pcACCleanRead      // clean path: re-reading clean
-
-	// pcResync: a freshly amnesiac incarnation re-establishing its RPC
-	// session with the memory server before re-running the protocol.
-	pcResync
-
-	pcDone // decided
-)
-
-// proc is one process's explicit state machine.
+// proc is one process's executor state: the stop-and-wait RPC client
+// that ships its protocol core's operations to the memory server. The
+// protocol state itself lives in the run's consensus.FlatConsensus.
 type proc struct {
-	id    int32
-	rng   xrand.Rand
-	input int
-
-	prefer int // current phase's preference
-	pers   *persona.Persona[int]
-	phase  int32
-	round  int32
-	pc     pcState
-
-	acIn       int
-	acConflict bool
+	id  int32
+	rng xrand.Rand
 
 	// Stop-and-wait RPC state.
 	opSeq   uint32
@@ -72,9 +35,6 @@ type proc struct {
 	opRetries int
 	seedBase  uint64
 	resyncs   int64
-
-	decided  bool
-	decision int
 }
 
 // runner holds one run's entire state.
@@ -85,8 +45,7 @@ type runner struct {
 	srv     *server
 	mon     *fault.Monitor
 	procs   []proc
-	rounds  int
-	persCfg persona.Config
+	core    *consensus.FlatConsensus
 	now     int64
 	decided int
 	events  int64
@@ -114,39 +73,19 @@ type runner struct {
 	overflowed *proc
 }
 
-// protocolRounds returns the conciliator rounds per phase and the
-// persona configuration (how much randomness each persona pre-draws) for
-// a protocol.
-func protocolRounds(protocol string, n int, epsilon float64) (int, persona.Config) {
-	switch protocol {
-	case ProtoSifter:
-		r := conciliator.SifterRounds(n, epsilon)
-		return r, persona.Config{WriteProbs: conciliator.SifterProbs(n, r)}
-	case ProtoSifterHalf:
-		r := conciliator.SifterHalfRounds(n, epsilon)
-		probs := make([]float64, r)
-		for i := range probs {
-			probs[i] = 0.5
-		}
-		return r, persona.Config{WriteProbs: probs}
-	case ProtoPriorityMax:
-		r := conciliator.PriorityRounds(n, epsilon)
-		// Priorities use the paper's bounded range ceil(R n^2 / epsilon)
-		// rather than full-width uint64: the monitored max register's
-		// linearizability checker needs keys that fit in int64, and the
-		// bounded range (about 6e11 at n=100k) does with room to spare.
-		bound := uint64(math.Ceil(float64(r) * float64(n) * float64(n) / epsilon))
-		return r, persona.Config{PriorityRounds: r, PriorityBound: bound}
-	default:
-		panic("des: unknown protocol " + protocol)
-	}
-}
-
 // Run executes one discrete-event consensus run and returns its Result.
 // The error is non-nil when the run failed to terminate inside its event
 // budget (also recorded as a nontermination violation); the Result is
 // meaningful either way.
 func Run(cfg Config) (Result, error) {
+	res, err := run(cfg, nil)
+	sim.AddSteps(res.TotalSteps())
+	return res, err
+}
+
+// run is Run with a hook that, when non-nil, sees the runner after setup
+// and before the first event.
+func run(cfg Config, hook func(*runner)) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -162,17 +101,26 @@ func Run(cfg Config) (Result, error) {
 	retryRng := root.ForkNamed(0x4a77) // retry-timer jitter
 	chaosRng := root.ForkNamed(0xc405) // crash schedule materialization
 
+	// The core's own phase budget sits one past the DES's, so the DES's
+	// overflow check (a run error) always fires before the core's
+	// safety valve (a decision) could.
+	core, cerr := consensus.NewFlat(cfg.N, consensus.FlatConfig{
+		Conciliator: cfg.Protocol,
+		AC:          consensus.ACRegister,
+		Epsilon:     cfg.Epsilon,
+		MaxPhases:   cfg.MaxPhases + 1,
+	})
+	if cerr != nil {
+		return Result{}, cerr
+	}
 	mon := fault.NewMonitor()
-	rounds, persCfg := protocolRounds(cfg.Protocol, cfg.N, cfg.Epsilon)
-
 	d := &runner{
 		cfg:      cfg,
 		net:      newNetwork(cfg.Net, cfg.N, netRng),
 		srv:      newServer(cfg.N, mon),
 		mon:      mon,
 		procs:    make([]proc, cfg.N),
-		rounds:   rounds,
-		persCfg:  persCfg,
+		core:     core,
 		retryRng: retryRng,
 	}
 	d.rto0 = cfg.Retry.RTO.Nanoseconds()
@@ -202,25 +150,34 @@ func Run(cfg Config) (Result, error) {
 			inputs[i] = i % 2
 		}
 	}
+	coreInputs := make([]int64, cfg.N)
+	for i, v := range inputs {
+		coreInputs[i] = int64(v)
+	}
+	core.Reset(coreInputs)
 	for i := range d.procs {
 		p := &d.procs[i]
 		p.id = int32(i)
-		p.input = inputs[i]
-		p.prefer = inputs[i]
 		p.seedBase = procRng.SeedNamed(uint64(i))
 		p.rng.Reseed(p.seedBase)
 	}
-	// All processes wake at virtual time zero; their first requests get
-	// distinct latencies, which staggers them naturally.
+	if hook != nil {
+		hook(d)
+	}
+	// All processes wake at virtual time zero, drawing their phase-0
+	// personae; their first requests get distinct latencies, which
+	// staggers them naturally.
 	for i := range d.procs {
-		d.startPhase(&d.procs[i])
+		p := &d.procs[i]
+		core.Init(i, &p.rng)
+		d.issue(p)
 	}
 	// Crash events enter the queue after the initial sends, so a crash
 	// at t=0 still lands after every process issued its first request —
 	// deterministically, via the (at, seq) tiebreak.
 	for _, e := range chaos {
 		d.q.push(e.At.Nanoseconds(), e.Target, evCrash,
-			message{key: uint64(e.Down.Nanoseconds()), val: int32(e.Restart)})
+			message{Op: memory.Op{Key: uint64(e.Down.Nanoseconds()), Val: int64(e.Restart)}})
 	}
 
 	var err error
@@ -284,16 +241,17 @@ loop:
 	phases := 0
 	for i := range d.procs {
 		p := &d.procs[i]
-		outs[i], finished[i], steps[i] = p.decision, p.decided, p.steps
+		finished[i], steps[i] = d.core.Decided(i), p.steps
 		switch {
-		case p.decided:
+		case finished[i]:
+			outs[i] = int(d.core.Output(i))
 			outcomes[i] = OutcomeDecided
 		case p.gaveUp:
 			outcomes[i] = OutcomeGaveUp
 		default:
 			outcomes[i] = OutcomeUndecided
 		}
-		if ph := int(p.phase) + 1; ph > phases {
+		if ph := d.core.Phase(i) + 1; ph > phases {
 			phases = ph
 		}
 	}
@@ -302,7 +260,7 @@ loop:
 	res := Result{
 		N:             cfg.N,
 		Protocol:      cfg.Protocol,
-		Rounds:        rounds,
+		Rounds:        d.core.Rounds(),
 		AllDecided:    d.decided == cfg.N,
 		Phases:        phases,
 		Steps:         steps,
@@ -333,7 +291,7 @@ loop:
 }
 
 // phaseOverflow converts a process exceeding the phase budget (flagged
-// in finishAC) into a run error.
+// in onReply) into a run error.
 func (d *runner) phaseOverflow() error {
 	if d.overflowed == nil {
 		return nil
@@ -342,20 +300,6 @@ func (d *runner) phaseOverflow() error {
 	d.mon.Report("nontermination", "process %d exceeded the phase budget %d", p.id, d.cfg.MaxPhases)
 	return fmt.Errorf("des: process %d exceeded the phase budget %d without committing", p.id, d.cfg.MaxPhases)
 }
-
-// Object-index layout. Conciliator round objects are dense per phase;
-// adopt-commit uses four int registers per phase.
-func (d *runner) concObj(p *proc) int32 { return p.phase*int32(d.rounds) + p.round }
-
-const (
-	acFlag0 = iota
-	acFlag1
-	acClean
-	acDirty
-	acObjsPerPhase
-)
-
-func acObj(phase int32, which int) int32 { return phase*acObjsPerPhase + int32(which) }
 
 // sendReq issues a new stop-and-wait request from p (charging one step,
 // except for session resyncs, which are bookkeeping rather than protocol
@@ -368,7 +312,7 @@ func (d *runner) sendReq(p *proc, m message) {
 	p.req = m
 	p.await = true
 	p.opRetries = 0
-	if m.op != opSync {
+	if !m.sync {
 		p.steps++
 	}
 	d.net.send(&d.q, d.now, p.id, serverID, m)
@@ -421,39 +365,38 @@ func (d *runner) giveUp(p *proc) {
 	d.gaveUp++
 }
 
-// onCrash takes a node down. Crashes aimed at an already-down or
-// resigned node are ignored (no restart is scheduled), which keeps
+// onCrash takes a node down. Crashes aimed at an already-down, resigned
+// or decided process are ignored (no restart is scheduled), which keeps
 // overlapping schedule entries well-defined.
 func (d *runner) onCrash(to int32, m message) {
-	down := int64(m.key)
 	if to == serverID {
 		if d.srv.down {
 			return
 		}
 		d.srv.down = true
-		d.crashes++
-		d.q.push(d.now+down, to, evRestart, message{val: m.val})
-		return
+	} else {
+		p := &d.procs[to]
+		if p.down || p.gaveUp || d.core.Decided(int(to)) {
+			return
+		}
+		p.down = true
 	}
-	p := &d.procs[to]
-	if p.down || p.gaveUp || p.decided {
-		return
-	}
-	p.down = true
 	d.crashes++
-	d.q.push(d.now+down, to, evRestart, message{val: m.val})
+	d.q.push(d.now+int64(m.Key), to, evRestart, m)
 }
 
 // onRestart brings a node back up. Durable restarts resume from the
 // persisted state (the outstanding request is re-sent, since its reply
 // may have been discarded during the down window); amnesiac restarts
 // lose everything, bump the incarnation, reseed the protocol RNG from
-// the incarnation-keyed fork, and re-enter through an opSync handshake.
+// the incarnation-keyed fork, restart the protocol core, and re-enter
+// through an opSync handshake. Decided processes are never crashed (see
+// onCrash), so a restarting process has no decision to lose.
 func (d *runner) onRestart(to int32, m message) {
 	if to == serverID {
 		d.srv.down = false
 		d.restarts++
-		if RestartKind(m.val) == RestartAmnesiac {
+		if RestartKind(m.Val) == RestartAmnesiac {
 			d.srv.wipe()
 		}
 		return
@@ -464,8 +407,8 @@ func (d *runner) onRestart(to int32, m message) {
 	}
 	p.down = false
 	d.restarts++
-	if RestartKind(m.val) == RestartDurable {
-		if !p.decided && p.await {
+	if RestartKind(m.Val) == RestartDurable {
+		if p.await {
 			// The reply (or request) in flight when we crashed was
 			// dropped; retransmit under a fresh timer.
 			p.retrans++
@@ -476,151 +419,55 @@ func (d *runner) onRestart(to int32, m message) {
 		}
 		return
 	}
-	// Amnesiac: all volatile protocol state is gone. A previously decided
-	// process forgets its decision and must re-decide (agreement says it
-	// can only re-decide the same value — the monitors check exactly that).
-	if p.decided {
-		p.decided = false
-		d.decided--
-	}
+	// Amnesiac: all volatile protocol state is gone. The new incarnation
+	// draws its phase-0 persona from its fresh stream now and starts
+	// issuing once the resync handshake completes.
 	p.inc++
 	p.resyncs++
 	xrand.New(p.seedBase).ForkNamedInto(uint64(p.inc), &p.rng)
-	p.phase, p.round = 0, 0
-	p.prefer = p.input
-	p.pers = nil
-	p.acConflict = false
+	d.core.Restart(int(p.id), &p.rng)
 	p.opSeq = 0
 	p.await = false
 	p.opRetries = 0
-	p.pc = pcResync
-	d.sendReq(p, message{op: opSync})
+	d.sendReq(p, message{sync: true})
 }
 
-// startPhase draws a fresh persona for the process's current preference
-// and begins the conciliator.
-func (d *runner) startPhase(p *proc) {
-	p.pers = persona.New(p.prefer, int(p.id), &p.rng, d.persCfg)
-	p.round = 0
-	d.beginRound(p)
+// issue sends the protocol core's next operation for p.
+func (d *runner) issue(p *proc) {
+	d.sendReq(p, message{Op: d.core.Issue(int(p.id))})
 }
 
-// beginRound issues the first operation of conciliator round p.round, or
-// enters adopt-commit when the rounds are exhausted.
-func (d *runner) beginRound(p *proc) {
-	if int(p.round) >= d.rounds {
-		d.startAC(p)
-		return
-	}
-	obj := d.concObj(p)
-	if d.cfg.Protocol == ProtoPriorityMax {
-		p.pc = pcPrioWrite
-		d.sendReq(p, message{op: opWriteMax, obj: obj, key: p.pers.Priority(int(p.round)), pers: p.pers})
-		return
-	}
-	// Sifter round: one write (pre-drawn bit set) or one read-and-adopt.
-	p.pc = pcSiftOp
-	if p.pers.WriteBit(int(p.round)) {
-		d.sendReq(p, message{op: opWriteP, obj: obj, pers: p.pers})
-	} else {
-		d.sendReq(p, message{op: opReadP, obj: obj})
-	}
-}
-
-// startAC begins the binary adopt-commit Propose for the conciliator's
-// output value.
-func (d *runner) startAC(p *proc) {
-	p.acIn = p.pers.Value()
-	d.mon.ObserveACPropose(int(p.phase), int(p.id), p.acIn)
-	p.pc = pcACFlagWrite
-	d.sendReq(p, message{op: opWriteV, obj: acObj(p.phase, acFlag0+p.acIn), val: 1})
-}
-
-// onReply advances p's state machine by one reply. Stale or duplicate
-// replies (sequence mismatch) are ignored; the state machine only ever
-// moves on the reply it is waiting for.
+// onReply feeds p's awaited reply to its protocol core and issues the
+// next operation. Stale or duplicate replies (sequence mismatch) are
+// ignored; the core only ever moves on the reply it is waiting for. The
+// adopt-commit monitors observe each phase's Propose where it starts
+// (the conciliator's last reply) and where it ends.
 func (d *runner) onReply(p *proc, m message) {
-	if !p.await || m.opSeq != p.opSeq || m.inc != p.inc || p.decided || p.gaveUp {
+	pid := int(p.id)
+	if !p.await || m.opSeq != p.opSeq || m.inc != p.inc || d.core.Decided(pid) || p.gaveUp {
 		return
 	}
 	p.await = false
-	v := p.acIn
-	switch p.pc {
-	case pcResync:
-		// Session re-established; restart the protocol from phase zero.
-		d.startPhase(p)
-
-	case pcSiftOp:
-		if m.op == opReadP && m.ok {
-			p.pers = m.pers
-		}
-		p.round++
-		d.beginRound(p)
-
-	case pcPrioWrite:
-		p.pc = pcPrioRead
-		d.sendReq(p, message{op: opReadMax, obj: d.concObj(p)})
-	case pcPrioRead:
-		if m.ok {
-			p.pers = m.pers
-		}
-		p.round++
-		d.beginRound(p)
-
-	case pcACFlagWrite:
-		p.pc = pcACFlagRead
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acFlag0+(1-v))})
-	case pcACFlagRead:
-		if m.ok {
-			// Conflict: announce dirty before looking at clean.
-			p.pc = pcACDirtyWrite
-			d.sendReq(p, message{op: opWriteV, obj: acObj(p.phase, acDirty), val: 1})
-		} else {
-			p.pc = pcACCleanWrite
-			d.sendReq(p, message{op: opWriteV, obj: acObj(p.phase, acClean), val: int32(v)})
-		}
-	case pcACDirtyWrite:
-		p.pc = pcACCleanReadAdopt
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acClean)})
-	case pcACCleanReadAdopt:
-		out := v
-		if m.ok {
-			out = int(m.val)
-		}
-		d.finishAC(p, out, false)
-	case pcACCleanWrite:
-		p.pc = pcACDirtyRead
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acDirty)})
-	case pcACDirtyRead:
-		p.acConflict = m.ok
-		p.pc = pcACCleanRead
-		d.sendReq(p, message{op: opReadV, obj: acObj(p.phase, acClean)})
-	case pcACCleanRead:
-		w := int(m.val) // own clean write guarantees presence
-		if p.acConflict || w != v {
-			d.finishAC(p, w, false)
-		} else {
-			d.finishAC(p, v, true)
-		}
+	if m.sync {
+		// Session re-established; run the restarted protocol.
+		d.issue(p)
+		return
 	}
-}
-
-// finishAC completes the phase's adopt-commit: commit decides, adopt
-// carries the returned value into the next phase.
-func (d *runner) finishAC(p *proc, out int, commit bool) {
-	d.mon.ObserveAC(int(p.phase), int(p.id), p.acIn, out, commit)
-	if commit {
-		p.decided = true
-		p.decision = out
-		p.pc = pcDone
+	ph, inAC, acIn := d.core.Phase(pid), d.core.InAC(pid), d.core.ACInput(pid)
+	decided := d.core.Complete(pid, memory.Reply{OK: m.ok, Key: m.Key, Val: m.Val}, &p.rng)
+	switch {
+	case !inAC && d.core.InAC(pid):
+		d.mon.ObserveACPropose(ph, pid, int(d.core.ACInput(pid)))
+	case inAC && (decided || d.core.Phase(pid) != ph):
+		d.mon.ObserveAC(ph, pid, int(acIn), int(d.core.Output(pid)), decided)
+	}
+	if decided {
 		d.decided++
 		return
 	}
-	p.prefer = out
-	p.phase++
-	if int(p.phase) >= d.cfg.MaxPhases {
+	if d.core.Phase(pid) >= d.cfg.MaxPhases {
 		d.overflowed = p
 		return
 	}
-	d.startPhase(p)
+	d.issue(p)
 }

@@ -1,47 +1,26 @@
 package des
 
 import (
+	"fmt"
+
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/memory"
-	"github.com/oblivious-consensus/conciliator/internal/persona"
 )
 
-// opKind names the shared-memory operations the server understands. The
-// object space is three pools, addressed by (pool implied by op, index):
-//
-//   - persona registers (sifter round registers),
-//   - persona max registers (priority-max round registers), and
-//   - int registers (adopt-commit flags, clean, dirty — presence doubles
-//     as the flag bit).
-type opKind uint8
-
-const (
-	opWriteP opKind = iota // persona register write
-	opReadP                // persona register read
-	opWriteMax             // max register WriteMax(key, persona)
-	opReadMax              // max register ReadMax
-	opWriteV               // int register write
-	opReadV                // int register read
-	opSync                 // session resync after an amnesiac restart
-)
-
-// message is both RPC request and reply (reply=true echoes the request's
-// op, opSeq, and inc with the result fields filled in). It is carried by
-// value inside events.
+// message is both RPC request and reply. A request carries the
+// operation its process's protocol core issued, or is a session resync;
+// a reply echoes the request's sync, opSeq, and inc, with the result in
+// ok, Key, and Val. It is carried by value inside events.
 type message struct {
-	op    opKind
-	reply bool
+	memory.Op
+	sync  bool // session resync after an amnesiac restart (no op)
+	ok    bool
 	from  int32 // requesting process id
 	opSeq uint32
 	// inc is the sender's incarnation number: an amnesiac restart bumps
 	// it, so the server can fence the dead incarnation's stragglers and
 	// the client can ignore stale replies and timers.
-	inc  uint32
-	obj  int32
-	key  uint64
-	val  int32
-	ok   bool
-	pers *persona.Persona[int]
+	inc uint32
 }
 
 // opCtx is the memory.Context under which the server applies operations:
@@ -54,6 +33,17 @@ type opCtx struct{ pid int }
 func (opCtx) Step()           {}
 func (opCtx) Exclusive() bool { return true }
 func (c opCtx) ID() int       { return c.pid }
+
+// object is one shared object of the core's object-index space, created
+// on first use as the kind of object the addressing op names: a register
+// (conciliator round registers of the sifters, adopt-commit flags, clean
+// and dirty — presence doubles as the flag bit) or a monitored max
+// register (priority-max rounds). Both hold int64 values: persona ids
+// and adopt-commit values.
+type object struct {
+	reg *memory.Register[int64]
+	max *fault.MonitoredMaxer[int64]
+}
 
 // server is the memory node: it owns every shared object and applies
 // each logical operation exactly once. Clients are stop-and-wait with
@@ -68,16 +58,18 @@ func (c opCtx) ID() int       { return c.pid }
 // lower incarnation is a dead process's straggler and is fenced; a
 // higher one resets the session.
 type server struct {
-	persRegs []*memory.Register[*persona.Persona[int]]
-	maxRegs  []*fault.MonitoredMaxer[*persona.Persona[int]]
-	intRegs  []*memory.Register[int]
-	mon      *fault.Monitor
+	objs []object
+	mon  *fault.Monitor
 
 	lastInc  []uint32
 	lastSeq  []uint32
 	lastRep  []message
 	applied  int64
 	dupDrops int64
+
+	// log, when non-nil, receives every applied request and its reply
+	// in application order.
+	log func(req, rep message)
 
 	// down marks a crash window: the run loop discards deliveries
 	// addressed to a down server, so in-flight RPCs time out at the
@@ -95,26 +87,27 @@ func newServer(n int, mon *fault.Monitor) *server {
 	}
 }
 
-func (s *server) persReg(i int32) *memory.Register[*persona.Persona[int]] {
-	for int(i) >= len(s.persRegs) {
-		s.persRegs = append(s.persRegs, memory.NewRegister[*persona.Persona[int]]())
+func (s *server) object(i int32) *object {
+	for int(i) >= len(s.objs) {
+		s.objs = append(s.objs, object{})
 	}
-	return s.persRegs[i]
+	return &s.objs[i]
 }
 
-func (s *server) maxReg(i int32) *fault.MonitoredMaxer[*persona.Persona[int]] {
-	for int(i) >= len(s.maxRegs) {
-		s.maxRegs = append(s.maxRegs,
-			fault.NewMonitoredMaxer[*persona.Persona[int]](memory.NewMaxRegister[*persona.Persona[int]](), s.mon))
+func (s *server) reg(i int32) *memory.Register[int64] {
+	o := s.object(i)
+	if o.reg == nil {
+		o.reg = memory.NewRegister[int64]()
 	}
-	return s.maxRegs[i]
+	return o.reg
 }
 
-func (s *server) intReg(i int32) *memory.Register[int] {
-	for int(i) >= len(s.intRegs) {
-		s.intRegs = append(s.intRegs, memory.NewRegister[int]())
+func (s *server) maxReg(i int32) *fault.MonitoredMaxer[int64] {
+	o := s.object(i)
+	if o.max == nil {
+		o.max = fault.NewMonitoredMaxer[int64](memory.NewMaxRegister[int64](), s.mon)
 	}
-	return s.intRegs[i]
+	return o.max
 }
 
 // handle processes one incoming request and routes the reply back
@@ -149,34 +142,36 @@ func (s *server) handle(q *eventQueue, nw *network, now int64, m message) {
 	s.lastSeq[m.from] = m.opSeq
 	s.lastRep[m.from] = reply
 	s.applied++
+	if s.log != nil {
+		s.log(m, reply)
+	}
 	nw.send(q, now, serverID, m.from, reply)
 }
 
-// apply executes one logical operation against the shared objects.
+// apply executes one logical operation against the shared objects. The
+// server implements the operations of the register-model cores: register
+// values are the ops' Val (no core in this model writes a register key).
 func (s *server) apply(m message) message {
-	ctx := opCtx{pid: int(m.from)}
-	r := message{op: m.op, reply: true, from: m.from, opSeq: m.opSeq, inc: m.inc, obj: m.obj}
-	switch m.op {
-	case opWriteP:
-		s.persReg(m.obj).Write(ctx, m.pers)
-	case opReadP:
-		r.pers, r.ok = s.persReg(m.obj).Read(ctx)
-	case opWriteMax:
-		s.maxReg(m.obj).WriteMax(ctx, m.key, m.pers)
-	case opReadMax:
-		r.key, r.pers, r.ok = s.maxReg(m.obj).ReadMax(ctx)
-	case opWriteV:
-		s.intReg(m.obj).Write(ctx, int(m.val))
-	case opReadV:
-		var v int
-		v, r.ok = s.intReg(m.obj).Read(ctx)
-		r.val = int32(v)
-	case opSync:
+	r := message{sync: m.sync, opSeq: m.opSeq, inc: m.inc}
+	if m.sync {
 		// Session re-establishment after an amnesiac restart: the
-		// incarnation bump above already reset the dedup slot; the ack
-		// is the client's cue that the server will accept its fresh
+		// incarnation bump in handle already reset the dedup slot; the
+		// ack is the client's cue that the server will accept its fresh
 		// sequence numbers.
-		r.ok = true
+		return r
+	}
+	ctx := opCtx{pid: int(m.from)}
+	switch m.Kind {
+	case memory.OpWrite:
+		s.reg(m.Obj).Write(ctx, m.Val)
+	case memory.OpRead:
+		r.Val, r.ok = s.reg(m.Obj).Read(ctx)
+	case memory.OpWriteMax:
+		s.maxReg(m.Obj).WriteMax(ctx, m.Key, m.Val)
+	case memory.OpReadMax:
+		r.Key, r.Val, r.ok = s.maxReg(m.Obj).ReadMax(ctx)
+	default:
+		panic(fmt.Sprintf("des: the memory server does not implement op kind %d", m.Kind))
 	}
 	return r
 }
@@ -188,10 +183,8 @@ func (s *server) apply(m message) message {
 // monitors observing across the wipe are expected to fire; that is the
 // finding, not a bug.
 func (s *server) wipe() {
-	for _, m := range s.maxRegs {
-		m.Finish()
-	}
-	s.persRegs, s.maxRegs, s.intRegs = nil, nil, nil
+	s.finish()
+	s.objs = nil
 	for i := range s.lastSeq {
 		s.lastInc[i], s.lastSeq[i], s.lastRep[i] = 0, 0, message{}
 	}
@@ -201,7 +194,9 @@ func (s *server) wipe() {
 // finish runs the per-object linearizability checks of the monitored max
 // registers.
 func (s *server) finish() {
-	for _, m := range s.maxRegs {
-		m.Finish()
+	for _, o := range s.objs {
+		if o.max != nil {
+			o.max.Finish()
+		}
 	}
 }

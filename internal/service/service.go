@@ -178,12 +178,12 @@ func Start(cfg Config) (*Node, error) {
 	root := xrand.New(cfg.Seed)
 	for gid := 0; gid < cfg.Shards; gid++ {
 		g := &group{
-			id:       gid,
-			cfg:      &n.cfg,
-			node:     n,
-			log:      rsm.NewLog[string](cfg.Pipeline, mk),
-			intake:   make(chan *pendingOp, cfg.QueueDepth),
-			decided:  make(chan decidedBatch, cfg.Pipeline),
+			id:         gid,
+			cfg:        &n.cfg,
+			node:       n,
+			log:        rsm.NewLog[string](cfg.Pipeline, mk),
+			intake:     make(chan *pendingOp, cfg.QueueDepth),
+			decided:    make(chan decidedBatch, cfg.Pipeline),
 			kv:         rsm.NewKV(),
 			batchSizes: stats.NewIntHist(cfg.BatchMax + 1),
 			shardOps:   metrics.Default().Counter(fmt.Sprintf("service.shard_ops.%d", gid)),

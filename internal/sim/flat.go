@@ -49,9 +49,11 @@ type FlatMachine interface {
 // runs and, with RunInto, allocation-free in steady state; it is not safe
 // for concurrent use.
 //
-// The type parameter devirtualizes the per-slot Step call when
-// instantiated with a concrete machine type, keeping interface dispatch
-// out of the hot path.
+// The type parameter names the machine type (callers write
+// NewFlatRunner[*consensus.FlatConsensus]), but it does not devirtualize
+// Step: every pointer machine type shares one GC shape, so the compiled
+// RunInto (FlatRunner[go.shape.*uint8] in profiles) calls Step
+// indirectly through the generic dictionary, once per slot.
 type FlatRunner[M FlatMachine] struct {
 	done    []bool
 	steps   []int64

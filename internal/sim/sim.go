@@ -334,6 +334,11 @@ func Counters() (steps, slots int64) {
 	return totalStepsRun.Load(), totalSlotsRun.Load()
 }
 
+// AddSteps adds steps executed outside this package's engines — the
+// message-passing simulator's operations — to the process-wide step
+// counter Counters reports.
+func AddSteps(steps int64) { totalStepsRun.Add(steps) }
+
 // Cached metrics instruments; all nil (free no-ops) until a registry is
 // installed. The step-latency histogram records wall nanoseconds per
 // modeled step, amortized over batches of up to meterBatch granted steps:
