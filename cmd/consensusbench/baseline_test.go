@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeBaseline(t *testing.T, rec any) string {
@@ -29,6 +30,25 @@ func thisHost() recordHeader { return newHeader("conciliator-bench/v1", 0) }
 // with a different CPU count or GOMAXPROCS must be skipped with a
 // warning, not gated on — throughput is not comparable across host
 // shapes (the committed records were measured on a 1-CPU runner).
+// TestNewHeaderProvenance pins the toolchain and start-time fields every
+// record header carries.
+func TestNewHeaderProvenance(t *testing.T) {
+	h := newHeader("conciliator-bench/v1", 7)
+	if h.GoVersion != runtime.Version() {
+		t.Errorf("GoVersion = %q, want %q", h.GoVersion, runtime.Version())
+	}
+	started, err := time.Parse(time.RFC3339, h.Started)
+	if err != nil {
+		t.Fatalf("Started = %q is not RFC 3339: %v", h.Started, err)
+	}
+	if started.Location() != time.UTC {
+		t.Errorf("Started = %q, want UTC", h.Started)
+	}
+	if d := time.Since(started); d < -time.Second || d > time.Minute {
+		t.Errorf("Started = %q is %v from now", h.Started, d)
+	}
+}
+
 func TestCompareBaselineHostMismatchSkips(t *testing.T) {
 	got := []rate{{id: "concurrent-steps/x", v: 1}}
 	cpus, procs := thisHost(), thisHost()

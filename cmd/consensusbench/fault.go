@@ -158,11 +158,12 @@ func runFault(args []string, out io.Writer) error {
 		// Threaded through Plan.MaxArg by the sweep via a wrapper below.
 		cfg.MaxArg = ff.stutter
 	}
+	hdr := newHeader("conciliator-fault-report/v1", sh.seed)
 	start := time.Now()
 	results := experiment.RunFaultSweep(cfg)
 
 	rep := faultReport{
-		recordHeader: newHeader("conciliator-fault-report/v1", sh.seed),
+		recordHeader: hdr,
 		N:            cfg.N,
 		Trials:       cfg.Trials,
 		Shrink:       cfg.Shrink,

@@ -23,7 +23,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 )
@@ -150,7 +152,9 @@ func render(out io.Writer, format string, tbl *experiment.Table) {
 
 // recordHeader is the provenance every JSON record of this command
 // starts with: the schema, the resolved master seed (omitted by records
-// no seed drives), and the host shape the baseline gate compares.
+// no seed drives), the host shape the baseline gate compares, the
+// toolchain and source revision that built the binary, and when the
+// record was begun.
 type recordHeader struct {
 	Schema     string `json:"schema"`
 	Seed       uint64 `json:"seed,omitempty"`
@@ -158,17 +162,37 @@ type recordHeader struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version"`
+	// VCSRevision and VCSModified come from the binary's build info;
+	// `go build` in a checkout stamps them, `go run` and `go test`
+	// binaries carry none.
+	VCSRevision string `json:"vcs_revision,omitempty"`
+	VCSModified string `json:"vcs_modified,omitempty"`
+	Started     string `json:"started"` // RFC 3339, UTC
 }
 
 func newHeader(schema string, seed uint64) recordHeader {
-	return recordHeader{
+	h := recordHeader{
 		Schema:     schema,
 		Seed:       seed,
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Started:    time.Now().UTC().Format(time.RFC3339),
 	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				h.VCSRevision = s.Value
+			case "vcs.modified":
+				h.VCSModified = s.Value
+			}
+		}
+	}
+	return h
 }
 
 // writeJSON writes v to path as indented JSON with a trailing newline.

@@ -374,15 +374,14 @@ func TestBenchConcurrentJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if rec.Schema != "conciliator-concurrent-bench/v1" {
+	if rec.Schema != "conciliator-concurrent-bench/v2" {
 		t.Errorf("schema = %q", rec.Schema)
 	}
 	if rec.NumCPU <= 0 || rec.GOMAXPROCS <= 0 || rec.OpsPerProc != concurrentOpsPerProc {
 		t.Errorf("environment not recorded: %+v", rec)
 	}
-	wantEntries := 2 * len(concurrentSizes) // lock-free and locked per n
-	if len(rec.Experiments) != wantEntries {
-		t.Fatalf("got %d entries, want %d", len(rec.Experiments), wantEntries)
+	if len(rec.Experiments) != len(concurrentSizes) {
+		t.Fatalf("got %d entries, want %d", len(rec.Experiments), len(concurrentSizes))
 	}
 	wantSteps := int64(concurrentStepsRuns * concurrentOpsPerProc * 4)
 	for _, e := range rec.Experiments {
@@ -397,12 +396,7 @@ func TestBenchConcurrentJSON(t *testing.T) {
 			t.Errorf("%s: steps/sec not computed", e.ID)
 		}
 	}
-	for _, n := range concurrentSizes {
-		if _, ok := rec.SpeedupVsLocked[fmt.Sprintf("n=%d", n)]; !ok {
-			t.Errorf("speedup_vs_locked missing n=%d", n)
-		}
-	}
-	if !strings.Contains(b.String(), "concurrent-steps/lock-free/n=8") {
+	if !strings.Contains(b.String(), "concurrent-steps/n=8") {
 		t.Errorf("sweep lines not printed:\n%s", b.String())
 	}
 }

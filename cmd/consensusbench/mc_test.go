@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMCModeRejectsContradictoryFlags pins the up-front validation of
@@ -68,6 +70,12 @@ func TestMCModeRunsAndWritesRecord(t *testing.T) {
 	}
 	if rec.Schema != "conciliator-mc/v1" {
 		t.Errorf("schema = %q", rec.Schema)
+	}
+	if !strings.Contains(string(data), `"go_version": "`+runtime.Version()+`"`) {
+		t.Errorf("record lacks go_version %q:\n%s", runtime.Version(), data)
+	}
+	if _, err := time.Parse(time.RFC3339, rec.Started); err != nil {
+		t.Errorf("started = %q: %v", rec.Started, err)
 	}
 	if rec.N != 8 || rec.Trials != 200 || len(rec.Entries) != 2 {
 		t.Fatalf("record shape: n=%d trials=%d entries=%d", rec.N, rec.Trials, len(rec.Entries))

@@ -9,10 +9,11 @@ import (
 )
 
 // concurrentStress runs the protocol built by mk on real goroutines over
-// the lock-free substrate, reusing one runner across trials, and feeds
-// every outcome to the PR 4 safety monitors. The monitor is not
-// thread-safe, so all checking happens post-run on the collected
-// outputs — the concurrent analogue of the controlled fault experiments.
+// the mutex-guarded substrate, reusing one runner across trials, and
+// feeds every outcome to the fault package's safety monitors. The
+// monitor is not thread-safe, so all checking happens post-run on the
+// collected outputs — the concurrent analogue of the controlled fault
+// experiments.
 func concurrentStress(t *testing.T, n, trials int, mk func(n int) *Protocol[int]) {
 	t.Helper()
 	r := sim.NewConcurrentRunner(n, 0)
@@ -39,10 +40,11 @@ func concurrentStress(t *testing.T, n, trials int, mk func(n int) *Protocol[int]
 }
 
 // TestConcurrentConsensusRace drives the full conciliator + adopt-commit
-// stack under the lock-free concurrent substrate at several scales. Run
-// with -race this is the memory-model smoke for the whole protocol
-// stack: every CAS loop, snapshot scan, and max-register publish gets
-// exercised by real interleavings rather than the controlled scheduler.
+// stack under the concurrent substrate at several scales. Run with -race
+// this is the memory-model smoke for the whole protocol stack: every
+// register write, snapshot scan, and max-register write goes through the
+// objects' locked access mode under real interleavings rather than the
+// controlled scheduler.
 func TestConcurrentConsensusRace(t *testing.T) {
 	protocols := []struct {
 		name string
@@ -73,10 +75,10 @@ func TestConcurrentConsensusRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentConsensusLockedSubstrate pins that the mutex-backed
-// representation remains selectable for concurrent runs and still
-// reaches agreement — the fallback path for platforms where the
-// lock-free objects are suspect.
+// TestConcurrentConsensusLockedSubstrate pins that a one-shot
+// sim.RunConcurrent — a fresh worker pool rather than the reused runner
+// of concurrentStress — reaches agreement on the mutex-guarded objects
+// every concurrent run uses.
 func TestConcurrentConsensusLockedSubstrate(t *testing.T) {
 	const n = 8
 	c := NewRegister[int](n)
@@ -87,7 +89,7 @@ func TestConcurrentConsensusLockedSubstrate(t *testing.T) {
 	}
 	res, err := sim.RunConcurrent(n, func(p *sim.Proc) {
 		outs[p.ID()] = c.Propose(p, inputs[p.ID()])
-	}, sim.Config{AlgSeed: 5, LockedMemory: true})
+	}, sim.Config{AlgSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

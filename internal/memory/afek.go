@@ -16,10 +16,10 @@ import "fmt"
 // some writer move twice borrows that writer's embedded view, which is
 // guaranteed to have been taken inside the scanner's own interval.
 //
-// The object has no locking of its own: it inherits whatever
-// representation its component registers latch, so under the lock-free
-// concurrent substrate the whole construction runs on hardware atomics —
-// exactly the wait-free, registers-only algorithm of the original paper.
+// The object has no locking of its own: its only shared state is the
+// component registers, so it is exactly the wait-free, registers-only
+// algorithm of the original paper over whatever access mode the caller's
+// context selects for those registers.
 type AfekSnapshot[T any] struct {
 	cells []*Register[afekCell[T]]
 }

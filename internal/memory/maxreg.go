@@ -23,16 +23,7 @@ type Maxer[T any] interface {
 // MaxRegister is the unit-cost max register: one step per operation,
 // linearizable by construction. It is the max-register analogue of the
 // unit-cost Snapshot.
-//
-// Lock-free representation: lf points to the immutable (key, payload)
-// maximum, nil meaning empty. WriteMax runs the classic atomic-max CAS
-// loop — reload, give up if the current maximum already dominates,
-// otherwise try to install — which is linearizable because a successful
-// CAS both observes the old maximum and installs the new one at a single
-// point, and a write that gives up linearizes at its dominating load.
 type MaxRegister[T any] struct {
-	rep     repMode
-	lf      atomic.Pointer[maxState[T]]
 	mu      sync.Mutex
 	key     uint64
 	payload T
@@ -60,43 +51,17 @@ func (m *MaxRegister[T]) WriteMax(ctx Context, key uint64, payload T) {
 	ctx.Step()
 	armed := faultsArmed()
 	var after maxState[T]
-	switch {
-	case m.rep.of(ctx) == repLockFree:
-		st := &maxState[T]{key: key, payload: payload}
-		for {
-			cur := m.lf.Load()
-			if cur != nil && cur.key >= key {
-				// The current maximum already dominates (ties keep the
-				// incumbent payload, matching the locked path's key >
-				// m.key test); this write linearizes here as a no-op.
-				if armed {
-					after = *cur
-				}
-				break
-			}
-			if m.lf.CompareAndSwap(cur, st) {
-				if armed {
-					after = *st
-				}
-				break
-			}
-			mMaxCAS.Inc()
-		}
-	case ctx.Exclusive():
-		if !m.set || key > m.key {
-			m.key, m.payload, m.set = key, payload, true
-		}
-		if armed {
-			after = maxState[T]{key: m.key, payload: m.payload}
-		}
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&m.mu, mMaxContend)
-		if !m.set || key > m.key {
-			m.key, m.payload, m.set = key, payload, true
-		}
-		if armed {
-			after = maxState[T]{key: m.key, payload: m.payload}
-		}
+	}
+	if !m.set || key > m.key {
+		m.key, m.payload, m.set = key, payload, true
+	}
+	if armed {
+		after = maxState[T]{key: m.key, payload: m.payload}
+	}
+	if !excl {
 		m.mu.Unlock()
 	}
 	if armed {
@@ -125,21 +90,12 @@ func (m *MaxRegister[T]) ReadMax(ctx Context) (uint64, T, bool) {
 			}
 		}
 	}
-	var (
-		k  uint64
-		p  T
-		ok bool
-	)
-	switch {
-	case m.rep.of(ctx) == repLockFree:
-		if st := m.lf.Load(); st != nil {
-			k, p, ok = st.key, st.payload, true
-		}
-	case ctx.Exclusive():
-		k, p, ok = m.key, m.payload, m.set
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&m.mu, mMaxContend)
-		k, p, ok = m.key, m.payload, m.set
+	}
+	k, p, ok := m.key, m.payload, m.set
+	if !excl {
 		m.mu.Unlock()
 	}
 	m.ops.inc()

@@ -22,6 +22,10 @@ func TestMaxRegisterKeepsMax(t *testing.T) {
 	if k, v, ok := m.ReadMax(Free); !ok || k != 5 || v != "five" {
 		t.Fatalf("got (%d, %q, %v)", k, v, ok)
 	}
+	m.WriteMax(Free, 5, "five-again") // tie: incumbent payload kept
+	if k, v, ok := m.ReadMax(Free); !ok || k != 5 || v != "five" {
+		t.Fatalf("tie write: got (%d, %q, %v)", k, v, ok)
+	}
 	m.WriteMax(Free, 9, "nine")
 	if k, v, ok := m.ReadMax(Free); !ok || k != 9 || v != "nine" {
 		t.Fatalf("got (%d, %q, %v)", k, v, ok)
@@ -65,6 +69,19 @@ func TestTreeMaxRegisterEmpty(t *testing.T) {
 	m := NewTreeMaxRegister[int](8)
 	if _, _, ok := m.ReadMax(Free); ok {
 		t.Fatal("empty tree max register reported a value")
+	}
+}
+
+func TestTreeMaxRegisterKeepsMax(t *testing.T) {
+	m := NewTreeMaxRegister[string](6)
+	for _, w := range []struct {
+		k uint64
+		p string
+	}{{5, "a"}, {40, "b"}, {17, "c"}, {63, "d"}, {2, "e"}} {
+		m.WriteMax(Free, w.k, w.p)
+	}
+	if k, p, ok := m.ReadMax(Free); !ok || k != 63 || p != "d" {
+		t.Fatalf("ReadMax = (%d, %q, %v), want (63, d, true)", k, p, ok)
 	}
 }
 

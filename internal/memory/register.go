@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Register is a linearizable atomic multi-writer multi-reader register
 // holding a value of type T. The zero-value register is empty; Read
@@ -12,16 +9,7 @@ import (
 //
 // The paper places no bound on register width, and neither do we: T may be
 // a persona carrying an entire priority vector.
-//
-// Lock-free representation: lf holds a pointer to an immutable value, nil
-// meaning "never written". A Write publishes a fresh *T with one atomic
-// store and a Read is one atomic load — both wait-free, and linearizable
-// because the Go memory model makes an atomic store/load pair a
-// release/acquire edge (the pointed-to value is published before the
-// pointer, and the pointee is never mutated after publication).
 type Register[T any] struct {
-	rep repMode
-	lf  atomic.Pointer[T]
 	mu  sync.Mutex
 	val T
 	set bool
@@ -36,16 +24,12 @@ func NewRegister[T any]() *Register[T] {
 // Write atomically stores v, charging one step.
 func (r *Register[T]) Write(ctx Context, v T) {
 	ctx.Step()
-	switch {
-	case r.rep.of(ctx) == repLockFree:
-		r.lfStore(v)
-	case ctx.Exclusive():
-		r.val = v
-		r.set = true
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&r.mu, mRegContend)
-		r.val = v
-		r.set = true
+	}
+	r.val, r.set = v, true
+	if !excl {
 		r.mu.Unlock()
 	}
 	if faultsArmed() {
@@ -74,20 +58,12 @@ func (r *Register[T]) Read(ctx Context) (T, bool) {
 			}
 		}
 	}
-	var (
-		v  T
-		ok bool
-	)
-	switch {
-	case r.rep.of(ctx) == repLockFree:
-		if p := r.lf.Load(); p != nil {
-			v, ok = *p, true
-		}
-	case ctx.Exclusive():
-		v, ok = r.val, r.set
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&r.mu, mRegContend)
-		v, ok = r.val, r.set
+	}
+	v, ok := r.val, r.set
+	if !excl {
 		r.mu.Unlock()
 	}
 	r.ops.inc()
@@ -102,28 +78,16 @@ func (r *Register[T]) Read(ctx Context) (T, bool) {
 // linearization witness.
 func (r *Register[T]) CompareEmptyAndWrite(ctx Context, v T) (T, bool) {
 	ctx.Step()
-	var (
-		val       T
-		installed bool
-	)
-	switch {
-	case r.rep.of(ctx) == repLockFree:
-		val, installed = r.lfInstallEmpty(v)
-	case ctx.Exclusive():
-		val = r.val
-		if !r.set {
-			r.val = v
-			r.set = true
-			val, installed = v, true
-		}
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&r.mu, mRegContend)
-		val = r.val
-		if !r.set {
-			r.val = v
-			r.set = true
-			val, installed = v, true
-		}
+	}
+	installed := !r.set
+	if installed {
+		r.val, r.set = v, true
+	}
+	val := r.val
+	if !excl {
 		r.mu.Unlock()
 	}
 	if installed && faultsArmed() {
@@ -140,32 +104,6 @@ func (r *Register[T]) CompareEmptyAndWrite(ctx Context, v T) (T, bool) {
 		mRegRead.Inc()
 	}
 	return val, installed
-}
-
-// lfStore publishes v on the lock-free cell. Kept out of line so the
-// heap allocation for v's box is confined to the lock-free path: inlined
-// into Write, escape analysis would heap-allocate every caller's v, and
-// the exclusive path's zero-alloc guarantee would silently die.
-//
-//go:noinline
-func (r *Register[T]) lfStore(v T) {
-	r.lf.Store(&v)
-}
-
-// lfInstallEmpty is CompareEmptyAndWrite's lock-free arm: one CAS
-// against the empty cell. Out of line for the same escape reason as
-// lfStore.
-//
-//go:noinline
-func (r *Register[T]) lfInstallEmpty(v T) (T, bool) {
-	if r.lf.CompareAndSwap(nil, &v) {
-		return v, true
-	}
-	// Lost the empty→v race (or the register was already set): observe
-	// whoever won. The load is a legal linearization of the failed
-	// install because any non-nil value justifies it.
-	mRegCAS.Inc()
-	return *r.lf.Load(), false
 }
 
 // Ops reports how many operations this register has served.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
 )
@@ -28,6 +29,27 @@ func TestRegisterWriteRead(t *testing.T) {
 	r.Write(Free, "b")
 	if v, ok := r.Read(Free); !ok || v != "b" {
 		t.Fatalf("got (%q, %v) after overwrite", v, ok)
+	}
+}
+
+// TestObjectFootprint pins the per-object size: one state representation
+// (the fields plus a mutex) and nothing else. Registers are the service's
+// dominant retained allocation, so growth here is a heap regression.
+func TestObjectFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Register[struct{}]", unsafe.Sizeof(Register[struct{}]{}), 24},
+		{"Register[int64]", unsafe.Sizeof(Register[int64]{}), 32},
+		{"MaxRegister[int]", unsafe.Sizeof(MaxRegister[int]{}), 40},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", tc.name, tc.got, tc.want)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Entry is one component of a snapshot view: a value plus whether that
 // component has ever been updated (the paper's "non-null S[j]").
@@ -19,17 +16,7 @@ type Entry[T any] struct {
 // all operations as taking one step", Section 2); AfekSnapshot in this
 // package shows how to realize the same interface from plain registers at
 // higher cost.
-//
-// Lock-free representation: lf points to an immutable component vector
-// (nil = all components null). An Update is a CAS loop that copies the
-// vector, sets its component, and installs the copy; a Scan is a single
-// atomic load — wait-free, and trivially atomic because the loaded
-// vector is never mutated after publication. This is the lock-free
-// analogue of the object's unit-cost promise: the scan really is one
-// hardware operation plus a private copy.
 type Snapshot[T any] struct {
-	rep  repMode
-	lf   atomic.Pointer[[]Entry[T]]
 	mu   sync.Mutex
 	vals []Entry[T]
 	ops  opCounter
@@ -47,25 +34,12 @@ func (s *Snapshot[T]) Components() int { return len(s.vals) }
 // Update atomically installs v as component i, charging one step.
 func (s *Snapshot[T]) Update(ctx Context, i int, v T) {
 	ctx.Step()
-	switch {
-	case s.rep.of(ctx) == repLockFree:
-		for {
-			old := s.lf.Load()
-			next := make([]Entry[T], len(s.vals))
-			if old != nil {
-				copy(next, *old)
-			}
-			next[i] = Entry[T]{Value: v, OK: true}
-			if s.lf.CompareAndSwap(old, &next) {
-				break
-			}
-			mSnapCAS.Inc()
-		}
-	case ctx.Exclusive():
-		s.vals[i] = Entry[T]{Value: v, OK: true}
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&s.mu, mSnapCont)
-		s.vals[i] = Entry[T]{Value: v, OK: true}
+	}
+	s.vals[i] = Entry[T]{Value: v, OK: true}
+	if !excl {
 		s.mu.Unlock()
 	}
 	if faultsArmed() {
@@ -92,18 +66,12 @@ func (s *Snapshot[T]) ScanInto(ctx Context, buf []Entry[T]) []Entry[T] {
 	} else {
 		buf = buf[:len(s.vals)]
 	}
-	switch {
-	case s.rep.of(ctx) == repLockFree:
-		if p := s.lf.Load(); p != nil {
-			copy(buf, *p)
-		} else {
-			clear(buf)
-		}
-	case ctx.Exclusive():
-		copy(buf, s.vals)
-	default:
+	excl := ctx.Exclusive()
+	if !excl {
 		lockMeter(&s.mu, mSnapCont)
-		copy(buf, s.vals)
+	}
+	copy(buf, s.vals)
+	if !excl {
 		s.mu.Unlock()
 	}
 	if faultsArmed() {

@@ -40,6 +40,22 @@ func TestSnapshotScanIsCopy(t *testing.T) {
 	}
 }
 
+func TestSnapshotScanIntoOverwritesBuffer(t *testing.T) {
+	s := NewSnapshot[int](3)
+	view := s.Scan(Free)
+	view[0] = Entry[int]{Value: 7, OK: true} // stale garbage in the reused buffer
+	s.Update(Free, 1, 11)
+	s.Update(Free, 2, 22)
+	// A reused buffer must be fully overwritten, including unset slots.
+	view = s.ScanInto(Free, view)
+	want := []Entry[int]{{}, {Value: 11, OK: true}, {Value: 22, OK: true}}
+	for i := range want {
+		if view[i] != want[i] {
+			t.Fatalf("view[%d] = %+v, want %+v", i, view[i], want[i])
+		}
+	}
+}
+
 func TestSnapshotOps(t *testing.T) {
 	s := NewSnapshot[int](2)
 	s.Update(Free, 0, 1)

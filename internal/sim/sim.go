@@ -13,11 +13,11 @@
 //
 //   - Concurrent: processes run as free goroutines over the same
 //     linearizable objects, with the Go runtime as the (weak, effectively
-//     content-oblivious) scheduler. By default the shared objects run on
-//     their lock-free representations (hardware CAS instead of mutexes;
-//     see memory.LockFreer and Config.LockedMemory), so this mode
-//     measures real multi-core throughput. Used by the examples, the
-//     -race tests, and the concurrent benchmarks; ConcurrentRunner (in
+//     content-oblivious) scheduler. Processes report Exclusive() ==
+//     false, so every shared-object operation takes the object's mutex
+//     and operations really overlap, which lets this mode measure
+//     multi-core throughput. Used by the examples, the -race tests, the
+//     concurrent benchmarks and the service; ConcurrentRunner (in
 //     concurrent.go) is the reusable multi-trial harness behind
 //     RunConcurrent.
 //
@@ -157,12 +157,6 @@ type Proc struct {
 	controlled bool
 	exclusive  bool
 
-	// lockfree reports whether this process's shared-memory operations
-	// should latch objects onto the lock-free (CAS/atomic.Pointer)
-	// representations. Set only for concurrent-mode processes, and only
-	// while the run's Config keeps LockedMemory off.
-	lockfree bool
-
 	// inj is the run's fault injector, nil for unfaulted runs. Proc
 	// delegates the memory.Faulter capability to it, adding the pid.
 	inj *fault.Injector
@@ -195,7 +189,6 @@ type Proc struct {
 var _ memory.Context = (*Proc)(nil)
 var _ memory.Scratcher = (*Proc)(nil)
 var _ memory.Faulter = (*Proc)(nil)
-var _ memory.LockFreer = (*Proc)(nil)
 
 // ID returns the process id in [0, n).
 func (p *Proc) ID() int { return p.id }
@@ -233,12 +226,6 @@ func (p *Proc) Step() {
 // controlled mode (where the coroutine engine makes execution sequential
 // by construction) and while the exclusive substrate is enabled.
 func (p *Proc) Exclusive() bool { return p.exclusive }
-
-// LockFree implements memory.LockFreer: concurrent-mode processes direct
-// shared objects onto the lock-free CAS implementations unless the run
-// asked for the locked substrate (Config.LockedMemory). Controlled-mode
-// processes always report false.
-func (p *Proc) LockFree() bool { return p.lockfree }
 
 // ScratchMap implements memory.Scratcher, exposing the per-process
 // scratch arena shared objects use to reuse buffers across operations.
@@ -306,13 +293,6 @@ type Config struct {
 	// runs refuse them with ErrConcurrentFaults rather than silently
 	// running unfaulted.
 	Faults *fault.Schedule
-
-	// LockedMemory forces a concurrent run's processes onto the
-	// mutex-guarded object paths instead of the lock-free substrate —
-	// the pre-lock-free behavior, kept selectable for cross-substrate
-	// equivalence tests and benchmarks. Controlled runs ignore it (their
-	// substrate is chosen by SetExclusiveSubstrate).
-	LockedMemory bool
 }
 
 const defaultMaxSlots = 1 << 26
