@@ -46,15 +46,15 @@ func benchRun(b *testing.B, n int, algSeed, schedSeed uint64, body func(p *sim.P
 // processes each perform a fixed number of trivial shared-memory steps
 // and the benchmark reports modeled steps and schedule slots per second.
 // The skewed-tail case leaves one process running long after the rest
-// finish, so most slots are uncharged no-ops — the case the bulk
-// slot-skipping fast path exists for.
+// finish, so most slots are uncharged no-ops: it measures the slot
+// loop's no-op path.
 func BenchmarkControlledSteps(b *testing.B) {
 	benchControlledSteps(b)
 }
 
 // BenchmarkControlledStepsMetrics is the same workload with a metrics
 // registry installed, bounding the cost of full instrumentation (step
-// counters, window-latency histograms, per-object op counts) on the
+// counters, the step-latency histogram, per-object op counts) on the
 // simulator's hot path.
 func BenchmarkControlledStepsMetrics(b *testing.B) {
 	metrics.SetDefault(metrics.New())

@@ -110,6 +110,12 @@ func run(args []string, out *os.File, ready chan<- string) error {
 		node.Close()
 		return err
 	}
+	// Take over SIGINT/SIGTERM before announcing readiness: a signal sent
+	// once the address is out must drain the node, not kill the process.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
+
 	srv := newServer(service.NewHandler(node))
 	cfg := node.Config()
 	fmt.Fprintf(out, "consensusd: serving on http://%s (shards %d, pipeline %d, batch-max %d, protocol %s)\n",
@@ -120,10 +126,6 @@ func run(args []string, out *os.File, ready chan<- string) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(stop)
 
 	select {
 	case sig := <-stop:

@@ -46,65 +46,6 @@ func FuzzSolveRegister(f *testing.F) {
 	})
 }
 
-// FuzzScheduleSkipper checks the sched.Skipper contract on every
-// schedule family: interleaving SkipWhile with Next — in any pattern a
-// fuzzed byte program can express — must never change the emitted pid
-// stream relative to a twin source driven by Next alone, and the slot
-// accounting SkipWhile returns must exactly match the number of slots
-// its predicate approved (in particular it can never go negative). This
-// is the contract the simulator's no-op slot batching fast path leans
-// on.
-func FuzzScheduleSkipper(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint64(1), []byte{0x00, 0x07, 0x12, 0x01})
-	f.Add(uint8(3), uint8(8), uint64(9), []byte{0xff, 0x00, 0xff, 0x00, 0x3c})
-	f.Add(uint8(5), uint8(1), uint64(42), []byte{0x81, 0x81, 0x81})
-	f.Add(uint8(2), uint8(15), uint64(7), []byte{0x10, 0x20, 0x30, 0x40, 0x50})
-	f.Fuzz(func(t *testing.T, rawKind, rawN uint8, seed uint64, program []byte) {
-		kinds := sched.Kinds()
-		kind := kinds[int(rawKind)%len(kinds)]
-		n := int(rawN%16) + 1
-		if len(program) > 256 {
-			program = program[:256]
-		}
-		skipping := sched.New(kind, n, seed)
-		reference := sched.New(kind, n, seed)
-		skipper, ok := skipping.(sched.Skipper)
-		if !ok {
-			t.Skipf("%v source does not implement Skipper", kind)
-		}
-		for pc, op := range program {
-			if op&1 == 0 {
-				got, want := skipping.Next(), reference.Next()
-				if got != want {
-					t.Fatalf("op %d: Next = %d, reference = %d", pc, got, want)
-				}
-				continue
-			}
-			budget := int(op>>1) % 8
-			var approved []int
-			skipped := skipper.SkipWhile(func(pid int) bool {
-				if budget == 0 {
-					return false
-				}
-				budget--
-				approved = append(approved, pid)
-				return true
-			})
-			if skipped < 0 {
-				t.Fatalf("op %d: SkipWhile returned negative count %d", pc, skipped)
-			}
-			if skipped != int64(len(approved)) {
-				t.Fatalf("op %d: SkipWhile = %d slots, predicate approved %d", pc, skipped, len(approved))
-			}
-			for i, pid := range approved {
-				if want := reference.Next(); pid != want {
-					t.Fatalf("op %d: skipped slot %d = pid %d, reference = %d", pc, i, pid, want)
-				}
-			}
-		}
-	})
-}
-
 // FuzzCrashScheduleReplay records fuzzed crash-schedule runs with
 // trace.Record and replays them, asserting the replay reproduces the
 // original execution exactly — per-process step counts, finished flags,

@@ -3,7 +3,9 @@
 // flips made by the processes. A Source produces that sequence; every
 // Source here is a deterministic function of its own seed and never
 // observes protocol state, which makes the resulting adversary oblivious
-// by construction.
+// by construction. A source hands out its schedule only through Next, one
+// slot per call; the simulator consumes every slot that way, including the
+// uncharged no-op slots that fall to finished or crashed processes.
 //
 // The package also provides finite explicit schedules and an interleaving
 // enumerator used to model-check small shared objects over every possible
@@ -36,59 +38,6 @@ type Source interface {
 type CrashAware interface {
 	// Alive reports whether the source may still schedule pid.
 	Alive(pid int) bool
-}
-
-// Skipper is implemented by sources that can consume a run of consecutive
-// slots in one call. The simulator uses it to fast-forward over slots
-// allocated to finished or crashed processes (uncharged no-ops in the
-// paper's model) without paying one driver-loop iteration per slot.
-type Skipper interface {
-	// SkipWhile consumes upcoming slots as long as pred accepts their pid
-	// and returns how many slots were consumed. The first slot whose pid
-	// pred rejects (or the end of a finite schedule) is not consumed: the
-	// next call to Next returns it. The consumed slots are exactly the
-	// ones Next would have produced, so interleaving SkipWhile with Next
-	// never changes the schedule.
-	//
-	// If pred accepts every pid a source can still emit, a call may not
-	// return (random sources draw until a rejection) or may stop after one
-	// full cycle (RoundRobin); callers must guarantee at least one
-	// still-schedulable pid is rejected.
-	SkipWhile(pred func(pid int) bool) int64
-}
-
-// skipBuf buffers one already-drawn slot. Stateful (random) sources
-// cannot peek at the next slot without consuming RNG state, so their
-// SkipWhile draws until it hits a rejected pid, stashes that pid here,
-// and Next hands it back before drawing anything new.
-type skipBuf struct {
-	pid int
-	ok  bool
-}
-
-func (b *skipBuf) take() (int, bool) {
-	if !b.ok {
-		return 0, false
-	}
-	b.ok = false
-	return b.pid, true
-}
-
-func (b *skipBuf) put(pid int) { b.pid, b.ok = pid, true }
-
-// skipWhile implements Skipper for sources that cannot peek: it draws via
-// Next, counting accepted slots, and stashes the first rejected pid (or
-// Exhausted) in buf for the next Next call.
-func skipWhile(src Source, buf *skipBuf, pred func(pid int) bool) int64 {
-	var skipped int64
-	for {
-		pid := src.Next()
-		if pid == Exhausted || !pred(pid) {
-			buf.put(pid)
-			return skipped
-		}
-		skipped++
-	}
 }
 
 // Kind names a built-in schedule family for experiment sweeps.
@@ -173,19 +122,6 @@ func New(kind Kind, n int, seed uint64) Source {
 	}
 }
 
-// Compile-time checks that every built-in source supports bulk skipping.
-var (
-	_ Skipper = (*RoundRobin)(nil)
-	_ Skipper = (*Random)(nil)
-	_ Skipper = (*Staggered)(nil)
-	_ Skipper = (*Split)(nil)
-	_ Skipper = (*Zipf)(nil)
-	_ Skipper = (*CrashHalf)(nil)
-	_ Skipper = (*CrashSet)(nil)
-	_ Skipper = (*Favored)(nil)
-	_ Skipper = (*Explicit)(nil)
-)
-
 // RoundRobin cycles through all processes in id order.
 type RoundRobin struct {
 	n, i int
@@ -203,27 +139,16 @@ func (s *RoundRobin) N() int { return s.n }
 // Next implements Source.
 func (s *RoundRobin) Next() int {
 	id := s.i
-	s.i = (s.i + 1) % s.n
-	return id
-}
-
-// SkipWhile implements Skipper by peeking at the cycle directly. It stops
-// after one full cycle even when pred accepts everything, so a caller
-// violating the Skipper contract still makes (countable) progress.
-func (s *RoundRobin) SkipWhile(pred func(pid int) bool) int64 {
-	var skipped int64
-	for skipped < int64(s.n) && pred(s.i) {
-		s.i = (s.i + 1) % s.n
-		skipped++
+	if s.i++; s.i == s.n {
+		s.i = 0
 	}
-	return skipped
+	return id
 }
 
 // Random schedules a uniform process each slot.
 type Random struct {
 	n   int
 	rng *xrand.Rand
-	buf skipBuf
 }
 
 // NewRandom returns a uniform random source over n processes.
@@ -237,14 +162,8 @@ func (s *Random) N() int { return s.n }
 
 // Next implements Source.
 func (s *Random) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	return s.rng.Intn(s.n)
 }
-
-// SkipWhile implements Skipper.
-func (s *Random) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
 
 // Staggered runs each process for block consecutive slots, visiting
 // processes in a fresh random order each sweep. This is the classic
@@ -255,7 +174,6 @@ type Staggered struct {
 	rng      *xrand.Rand
 	order    []int
 	pos, rem int
-	buf      skipBuf
 }
 
 // NewStaggered returns a staggered source with the given block length.
@@ -270,14 +188,8 @@ func NewStaggered(n, block int, rng *xrand.Rand) *Staggered {
 // N implements Source.
 func (s *Staggered) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Staggered) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Staggered) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	if s.rem == 0 {
 		if s.pos == 0 || s.pos >= s.n {
 			s.order = s.rng.Perm(s.n)
@@ -297,7 +209,6 @@ type Split struct {
 	n, phaseLen int
 	slot        int
 	lo, hi      int
-	buf         skipBuf
 }
 
 // NewSplit returns a split source; phases shorter than 1 are clamped.
@@ -312,14 +223,8 @@ func NewSplit(n, phaseLen int) *Split {
 // N implements Source.
 func (s *Split) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Split) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Split) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	half := s.n / 2
 	if half == 0 {
 		return 0
@@ -342,7 +247,6 @@ type Zipf struct {
 	n   int
 	rng *xrand.Rand
 	cdf []float64
-	buf skipBuf
 }
 
 // NewZipf returns a Zipf-skewed source with the given exponent (> 0).
@@ -363,14 +267,8 @@ func NewZipf(n int, exponent float64, rng *xrand.Rand) *Zipf {
 // N implements Source.
 func (s *Zipf) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Zipf) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Zipf) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	u := s.rng.Float64()
 	lo, hi := 0, s.n-1
 	for lo < hi {
@@ -395,7 +293,6 @@ type CrashHalf struct {
 	slot    int
 	crashed []bool
 	live    []int
-	buf     skipBuf
 }
 
 // NewCrashHalf returns a crash-half source; the crash set and crash time
@@ -427,20 +324,12 @@ func (s *CrashHalf) N() int { return s.n }
 
 // Next implements Source.
 func (s *CrashHalf) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	s.slot++
 	if s.slot <= s.cutoff {
 		return s.rng.Intn(s.n)
 	}
 	return s.live[s.rng.Intn(len(s.live))]
 }
-
-// SkipWhile implements Skipper. A stashed slot has already advanced the
-// crash clock, which matches the per-slot protocol: Alive answers for the
-// state after the stashed slot was drawn.
-func (s *CrashHalf) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
 
 // Alive implements CrashAware. All processes are alive until the cutoff
 // slot has been scheduled, so victims really do take steps (and leave
@@ -455,7 +344,6 @@ func (s *CrashHalf) Alive(pid int) bool { return s.slot <= s.cutoff || !s.crashe
 // process still makes progress.
 type Favored struct {
 	n, slot, next int
-	buf           skipBuf
 }
 
 // NewFavored returns a favored-process source (pid 0 is favored). For
@@ -468,14 +356,8 @@ func NewFavored(n int) *Favored {
 // N implements Source.
 func (s *Favored) N() int { return s.n }
 
-// SkipWhile implements Skipper.
-func (s *Favored) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
-
 // Next implements Source.
 func (s *Favored) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	s.slot++
 	if s.n == 1 || s.slot%2 == 1 {
 		return 0
@@ -499,7 +381,6 @@ type CrashSet struct {
 	slot    int
 	live    []int
 	rng     *xrand.Rand
-	buf     skipBuf
 }
 
 // NewCrashSet returns a source that behaves like inner until cutoff slots
@@ -534,18 +415,12 @@ func (s *CrashSet) N() int { return s.inner.N() }
 
 // Next implements Source.
 func (s *CrashSet) Next() int {
-	if pid, ok := s.buf.take(); ok {
-		return pid
-	}
 	s.slot++
 	if s.slot <= s.cutoff {
 		return s.inner.Next()
 	}
 	return s.live[s.rng.Intn(len(s.live))]
 }
-
-// SkipWhile implements Skipper.
-func (s *CrashSet) SkipWhile(pred func(pid int) bool) int64 { return skipWhile(s, &s.buf, pred) }
 
 // Alive implements CrashAware.
 func (s *CrashSet) Alive(pid int) bool { return s.slot <= s.cutoff || !s.crashed[pid] }
@@ -577,17 +452,6 @@ func (s *Explicit) Next() int {
 	id := s.slots[s.pos]
 	s.pos++
 	return id
-}
-
-// SkipWhile implements Skipper by peeking at the slot list directly; it
-// stops (without consuming anything further) when the schedule ends.
-func (s *Explicit) SkipWhile(pred func(pid int) bool) int64 {
-	var skipped int64
-	for s.pos < len(s.slots) && pred(s.slots[s.pos]) {
-		s.pos++
-		skipped++
-	}
-	return skipped
 }
 
 // Remaining returns how many slots are left.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
@@ -163,6 +164,10 @@ func TestExplicitExhaustion(t *testing.T) {
 	for i, w := range want {
 		if got := s.Next(); got != w {
 			t.Fatalf("slot %d = %d, want %d", i, got, w)
+		}
+		// Exhausted draws consume nothing, so Remaining bottoms out at 0.
+		if r, wantR := s.Remaining(), max(2-i, 0); r != wantR {
+			t.Fatalf("after slot %d: Remaining = %d, want %d", i, r, wantR)
 		}
 	}
 }
@@ -341,11 +346,10 @@ func TestFavoredSkewRatio(t *testing.T) {
 	}
 }
 
-// skipperSources builds a named set of every Skipper-implementing source,
-// paired with an identically-seeded twin, so tests can compare the slot
-// stream of a SkipWhile/Next mix against a pure-Next reference.
-func skipperSources() map[string]func() (Source, Source) {
-	fresh := map[string]func() Source{
+// builtinSources builds a named set of every built-in source, so a test
+// can check a property of the Next stream once per source.
+func builtinSources() map[string]func() Source {
+	return map[string]func() Source{
 		"round-robin": func() Source { return NewRoundRobin(7) },
 		"random":      func() Source { return NewRandom(7, xrand.New(11)) },
 		"staggered":   func() Source { return NewStaggered(7, 3, xrand.New(12)) },
@@ -365,115 +369,54 @@ func skipperSources() map[string]func() (Source, Source) {
 			return NewExplicit(5, slots)
 		},
 	}
-	out := make(map[string]func() (Source, Source), len(fresh))
-	for name, mk := range fresh {
-		mk := mk
-		out[name] = func() (Source, Source) { return mk(), mk() }
-	}
-	return out
 }
 
-func TestSkipWhileMatchesNext(t *testing.T) {
-	// Interleaving SkipWhile with Next must yield exactly the slot stream
-	// a pure-Next consumer sees, for every built-in source. The predicate
-	// accepts a seeded pseudo-random subset of pids so both the skip and
-	// the stash-then-redeliver paths are exercised.
-	for name, mk := range skipperSources() {
+// TestSourceContract checks, for every built-in source, what the
+// simulator's slot loop relies on: the stream is a pure function of the
+// constructor arguments, every slot names a pid in [0, N) until the
+// schedule is Exhausted, Exhausted is final, and a pid a CrashAware
+// source reports dead stays dead and is never drawn again.
+func TestSourceContract(t *testing.T) {
+	const draws = 1000
+	for name, mk := range builtinSources() {
 		t.Run(name, func(t *testing.T) {
-			mixed, ref := mk()
-			skipper := mixed.(Skipper)
-			drive := xrand.New(99)
-			noop := func(pid int) bool { return pid%3 == 0 }
-			var got []int
-			for len(got) < 300 {
-				if drive.Intn(2) == 0 {
-					// Consume a run of accepted slots in bulk; they are
-					// all no-op (accepted) slots by construction.
-					skipped := skipper.SkipWhile(noop)
-					for i := int64(0); i < skipped; i++ {
-						got = append(got, -2) // placeholder, filled below
-					}
-					continue
-				}
-				pid := mixed.Next()
-				got = append(got, pid)
-				if pid == Exhausted {
-					break
-				}
-			}
-			for i, pid := range got {
-				want := ref.Next()
-				if pid == -2 {
-					// A skipped slot: the reference stream must hold an
-					// accepted pid here.
-					if want == Exhausted || !noop(want) {
-						t.Fatalf("slot %d: skipped, but reference produced %d", i, want)
-					}
-					continue
-				}
+			src, twin := mk(), mk()
+			ca, _ := src.(CrashAware)
+			n := src.N()
+			dead := make([]bool, n)
+			exhausted := false
+			for i := 0; i < draws; i++ {
+				pid, want := src.Next(), twin.Next()
 				if pid != want {
-					t.Fatalf("slot %d: mixed stream %d, reference %d", i, pid, want)
+					t.Fatalf("slot %d: %d, identically built twin %d", i, pid, want)
 				}
 				if pid == Exhausted {
-					break
+					exhausted = true
+					continue
+				}
+				if exhausted {
+					t.Fatalf("slot %d: pid %d after Exhausted", i, pid)
+				}
+				if pid < 0 || pid >= n {
+					t.Fatalf("slot %d: pid %d out of range [0, %d)", i, pid, n)
+				}
+				if dead[pid] {
+					t.Fatalf("slot %d: drew pid %d after it was reported dead", i, pid)
+				}
+				if ca == nil {
+					continue
+				}
+				for p := range dead {
+					alive := ca.Alive(p)
+					if dead[p] && alive {
+						t.Fatalf("slot %d: pid %d came back to life", i, p)
+					}
+					dead[p] = !alive
 				}
 			}
-		})
-	}
-}
-
-func TestSkipWhileStashesFirstRejected(t *testing.T) {
-	// The first rejected slot must not be consumed: the next Next returns
-	// it. Run against every source with a reject-everything predicate.
-	for name, mk := range skipperSources() {
-		t.Run(name, func(t *testing.T) {
-			mixed, ref := mk()
-			skipper := mixed.(Skipper)
-			for i := 0; i < 50; i++ {
-				if n := skipper.SkipWhile(func(int) bool { return false }); n != 0 {
-					t.Fatalf("draw %d: reject-all SkipWhile consumed %d slots", i, n)
-				}
-				want := ref.Next()
-				if got := mixed.Next(); got != want {
-					t.Fatalf("draw %d: Next after SkipWhile = %d, want %d", i, got, want)
-				}
+			if ca != nil && !slices.Contains(dead, true) {
+				t.Fatalf("no pid died in %d draws; the crash checks ran on nothing", draws)
 			}
 		})
-	}
-}
-
-func TestRoundRobinSkipWhileCapsAtOneCycle(t *testing.T) {
-	// An accept-everything predicate (a Skipper-contract violation) must
-	// still terminate for RoundRobin, consuming exactly one full cycle.
-	s := NewRoundRobin(5)
-	s.Next() // misalign so the cap is not cycle-aligned
-	if n := s.SkipWhile(func(int) bool { return true }); n != 5 {
-		t.Fatalf("SkipWhile consumed %d slots, want one full cycle of 5", n)
-	}
-	if got := s.Next(); got != 1 {
-		t.Fatalf("Next after full-cycle skip = %d, want 1", got)
-	}
-}
-
-func TestExplicitSkipWhileRemaining(t *testing.T) {
-	s := NewExplicit(3, []int{0, 0, 1, 0, 2})
-	if n := s.SkipWhile(func(pid int) bool { return pid == 0 }); n != 2 {
-		t.Fatalf("skipped %d, want 2", n)
-	}
-	if r := s.Remaining(); r != 3 {
-		t.Fatalf("Remaining = %d, want 3", r)
-	}
-	if got := s.Next(); got != 1 {
-		t.Fatalf("Next = %d, want 1", got)
-	}
-	// Skipping past the end stops at exhaustion without consuming more.
-	if n := s.SkipWhile(func(int) bool { return true }); n != 2 {
-		t.Fatalf("tail skip = %d, want 2", n)
-	}
-	if r := s.Remaining(); r != 0 {
-		t.Fatalf("Remaining after tail skip = %d, want 0", r)
-	}
-	if got := s.Next(); got != Exhausted {
-		t.Fatalf("Next after exhaustion = %d, want Exhausted", got)
 	}
 }

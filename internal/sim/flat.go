@@ -2,8 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
@@ -41,71 +39,28 @@ type FlatMachine interface {
 	Step(pid int, rng *xrand.Rand) bool
 }
 
-// FlatRunner drives FlatMachines under schedule sources with the same
-// slot-level semantics as the coroutine driver (see drive): one operation
-// per charged slot, uncharged no-op slots for finished or crashed
-// processes (bulk-skipped via sched.Skipper when available), the same
-// slot budget, and the same RNG fork layout. A runner is reusable across
-// runs and, with RunInto, allocation-free in steady state; it is not safe
-// for concurrent use.
+// FlatRunner drives FlatMachines under schedule sources on the same
+// slot loop as the coroutine engine (runSlots): Init primes each process
+// and Step executes its operation for a charged slot, so the slot
+// semantics — uncharged no-op slots for finished or crashed processes,
+// the slot budget, finite-schedule exhaustion — are shared rather than
+// replicated, and the RNG fork layout matches RunControlled. A runner is
+// reusable across runs and, with RunInto, allocation-free in steady
+// state; it is not safe for concurrent use.
 //
 // The type parameter names the machine type (callers write
 // NewFlatRunner[*consensus.FlatConsensus]), but it does not devirtualize
 // Step: every pointer machine type shares one GC shape, so the compiled
 // RunInto (FlatRunner[go.shape.*uint8] in profiles) calls Step
-// indirectly through the generic dictionary, once per slot.
+// indirectly through the generic dictionary, once per charged slot.
 type FlatRunner[M FlatMachine] struct {
-	done    []bool
-	steps   []int64
-	rngs    []xrand.Rand
-	doneCnt int
-
-	// Skip-predicate state, referenced by the pre-built closure so runs
-	// do not allocate. ca is the current run's crash-aware source view.
-	ca       sched.CrashAware
-	batch    int
-	skipPred func(pid int) bool
+	done  []bool
+	steps []int64
+	rngs  []xrand.Rand
 }
 
 // NewFlatRunner returns a reusable runner for machines of type M.
-func NewFlatRunner[M FlatMachine]() *FlatRunner[M] {
-	fr := &FlatRunner[M]{}
-	// Built once so the hot loop never allocates a closure. Mirrors
-	// drive's skipPred, including the skipBatch bound (see drive for why
-	// the bound is a correctness requirement under crash cutoffs).
-	fr.skipPred = func(pid int) bool {
-		if fr.batch >= skipBatch || !(fr.done[pid] || !fr.alive(pid)) {
-			return false
-		}
-		fr.batch++
-		return true
-	}
-	return fr
-}
-
-func (fr *FlatRunner[M]) alive(pid int) bool { return fr.ca == nil || fr.ca.Alive(pid) }
-
-func (fr *FlatRunner[M]) liveDone(n int) bool {
-	if fr.doneCnt == n {
-		return true
-	}
-	if fr.ca == nil {
-		return false
-	}
-	for pid := 0; pid < n; pid++ {
-		if !fr.done[pid] && fr.ca.Alive(pid) {
-			return false
-		}
-	}
-	return true
-}
-
-// skipBatch bounds uncharged-slot skipping per SkipWhile call; it must
-// match the coroutine driver's bound so both engines consume schedule
-// sources identically. (They do regardless of the bound — SkipWhile
-// leaves the schedule unchanged — but sharing the constant keeps the
-// engines structurally parallel.)
-const skipBatch = 1024
+func NewFlatRunner[M FlatMachine]() *FlatRunner[M] { return &FlatRunner[M]{} }
 
 // Run executes one controlled run of m under src, allocating fresh
 // Result slices. See RunInto for the allocation-free form.
@@ -124,11 +79,6 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 		return ErrFlatFaults
 	}
 	n := src.N()
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = defaultMaxSlots
-	}
-
 	if cap(fr.done) < n {
 		fr.done = make([]bool, n)
 		fr.steps = make([]int64, n)
@@ -137,11 +87,6 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 	fr.done = fr.done[:n]
 	fr.steps = fr.steps[:n]
 	fr.rngs = fr.rngs[:n]
-	for i := 0; i < n; i++ {
-		fr.done[i] = false
-		fr.steps[i] = 0
-	}
-	fr.doneCnt = 0
 
 	// Identical stream layout to RunControlled: one root reseed, then one
 	// named fork per process in pid order (each fork consumes one draw of
@@ -149,76 +94,20 @@ func (fr *FlatRunner[M]) RunInto(src sched.Source, m M, cfg Config, res *Result)
 	var root xrand.Rand
 	root.Reseed(cfg.AlgSeed)
 	for i := 0; i < n; i++ {
+		fr.steps[i] = 0
 		root.ForkNamedInto(uint64(i), &fr.rngs[i])
 	}
-	// Priming: all pre-first-step randomness, in pid order, matching the
-	// coroutine priming loop.
-	for pid := 0; pid < n; pid++ {
+	// Init performs all pre-first-step randomness, matching the coroutine
+	// engine's first resume; every process takes at least one step.
+	prime := func(pid int) bool {
 		m.Init(pid, &fr.rngs[pid])
+		return false
 	}
-
-	fr.ca, _ = src.(sched.CrashAware)
-	skipper, _ := src.(sched.Skipper)
-
-	metered := mStepNanos != nil
-	var (
-		slots  int64
-		err    error
-		grants int64
-		t0     time.Time
-	)
-
-	for {
-		if fr.liveDone(n) {
-			break
-		}
-		if slots >= maxSlots {
-			slots = maxSlots
-			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
-			break
-		}
-		if skipper != nil {
-			fr.batch = 0
-			slots += skipper.SkipWhile(fr.skipPred)
-			if slots >= maxSlots {
-				if slots > maxSlots {
-					slots = maxSlots
-				}
-				continue
-			}
-		}
-		pid := src.Next()
-		if pid == sched.Exhausted {
-			if !fr.liveDone(n) {
-				err = ErrScheduleExhausted
-			}
-			break
-		}
-		slots++
-		if fr.done[pid] || !fr.alive(pid) {
-			// Uncharged no-op slot, per the model.
-			continue
-		}
-		if metered && grants == 0 {
-			t0 = time.Now()
-		}
+	grant := func(pid int) bool {
 		fr.steps[pid]++
-		if m.Step(pid, &fr.rngs[pid]) {
-			fr.done[pid] = true
-			fr.doneCnt++
-		}
-		if metered {
-			if grants++; grants >= meterBatch {
-				mWindowSize.Observe(grants)
-				mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-				grants = 0
-			}
-		}
+		return m.Step(pid, &fr.rngs[pid])
 	}
-	if metered && grants > 0 {
-		mWindowSize.Observe(grants)
-		mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-	}
+	slots, err := runSlots(src, cfg.MaxSlots, nil, fr.done, prime, grant, nil)
 
 	if cap(res.Steps) < n {
 		res.Steps = make([]int64, n)

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/memory"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
+	"github.com/oblivious-consensus/conciliator/internal/trace"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
@@ -47,42 +50,95 @@ func countdownBody(need []int, sum []uint64) Body {
 }
 
 // TestFlatMatchesCoroutineOnTrivialBodies pins the engine-level identity
-// on a body with no protocol content: steps, slots, finish flags, and
-// every RNG draw must match the coroutine engine across schedule kinds.
+// on a body with no protocol content: errors, steps, slots, finish flags,
+// and every RNG draw must match the coroutine engine across schedule
+// kinds, a finite schedule that exhausts mid-run, a concatenated
+// schedule, and a crash-aware replay.
 func TestFlatMatchesCoroutineOnTrivialBodies(t *testing.T) {
 	need := []int{3, 1, 7, 2, 5, 4, 6, 1}
 	n := len(need)
+	type input struct {
+		name    string
+		mk      func() sched.Source // a fresh, identical source per call
+		wantErr error
+	}
+	var inputs []input
 	for _, kind := range sched.Kinds() {
 		for seed := uint64(1); seed <= 3; seed++ {
-			cfg := Config{AlgSeed: 0xfeed + seed}
-			coSum := make([]uint64, n)
-			coRes, coErr := RunControlled(sched.New(kind, n, seed), countdownBody(need, coSum), cfg)
+			inputs = append(inputs, input{
+				name: fmt.Sprintf("%v/seed=%d", kind, seed),
+				mk:   func() sched.Source { return sched.New(kind, n, seed) },
+			})
+		}
+	}
+	// Every process is scheduled, but the schedule ends while pids 0, 2,
+	// 4, 5 and 6 still owe steps.
+	short := []int{0, 1, 2, 3, 4, 5, 6, 7, 1, 7, 0, 2, 2, 3}
+	rec := trace.Record(sched.New(sched.KindCrashHalf, n, 2))
+	recRes, err := RunControlled(rec, countdownBody(need, make([]uint64, n)), Config{AlgSeed: 1})
+	if err != nil {
+		t.Fatalf("recording crash-half run: %v", err)
+	}
+	if !slices.Contains(recRes.Finished, false) {
+		t.Fatal("recorded crash-half run crashed no unfinished process; pick another seed")
+	}
+	inputs = append(inputs,
+		input{
+			name:    "explicit-exhausted",
+			mk:      func() sched.Source { return sched.NewExplicit(n, short) },
+			wantErr: ErrScheduleExhausted,
+		},
+		input{
+			name: "seq-explicit-random",
+			mk: func() sched.Source {
+				return sched.NewSeq(sched.NewExplicit(n, []int{6, 6, 6, 1, 1, 0}), sched.NewRandom(n, xrand.New(5)))
+			},
+		},
+		input{name: "replay-crash-half", mk: rec.Replay},
+	)
 
-			m := newCountdown(need)
-			flRes, flErr := RunFlat(sched.New(kind, n, seed), m, cfg)
+	for i, in := range inputs {
+		cfg := Config{AlgSeed: 0xfeed + uint64(i)}
+		coSum := make([]uint64, n)
+		coRes, coErr := RunControlled(in.mk(), countdownBody(need, coSum), cfg)
 
-			if (coErr == nil) != (flErr == nil) {
-				t.Fatalf("%v seed %d: error mismatch: coroutine %v flat %v", kind, seed, coErr, flErr)
+		m := newCountdown(need)
+		flRes, flErr := RunFlat(in.mk(), m, cfg)
+
+		if !errors.Is(coErr, in.wantErr) || !errors.Is(flErr, in.wantErr) {
+			t.Fatalf("%s: errors: coroutine %v flat %v, want %v", in.name, coErr, flErr, in.wantErr)
+		}
+		if coRes.Slots != flRes.Slots || coRes.TotalSteps != flRes.TotalSteps {
+			t.Fatalf("%s: slots/steps mismatch: coroutine (%d,%d) flat (%d,%d)",
+				in.name, coRes.Slots, coRes.TotalSteps, flRes.Slots, flRes.TotalSteps)
+		}
+		for pid := 0; pid < n; pid++ {
+			if coRes.Steps[pid] != flRes.Steps[pid] {
+				t.Errorf("%s: steps[%d] = %d, coroutine %d", in.name, pid, flRes.Steps[pid], coRes.Steps[pid])
 			}
-			if coRes.Slots != flRes.Slots || coRes.TotalSteps != flRes.TotalSteps {
-				t.Fatalf("%v seed %d: slots/steps mismatch: coroutine (%d,%d) flat (%d,%d)",
-					kind, seed, coRes.Slots, coRes.TotalSteps, flRes.Slots, flRes.TotalSteps)
+			if coRes.Finished[pid] != flRes.Finished[pid] {
+				t.Errorf("%s: finished[%d] = %v, coroutine %v", in.name, pid, flRes.Finished[pid], coRes.Finished[pid])
 			}
-			for pid := 0; pid < n; pid++ {
-				if coRes.Steps[pid] != flRes.Steps[pid] {
-					t.Errorf("%v seed %d: steps[%d] = %d, coroutine %d", kind, seed, pid, flRes.Steps[pid], coRes.Steps[pid])
-				}
-				if coRes.Finished[pid] != flRes.Finished[pid] {
-					t.Errorf("%v seed %d: finished[%d] = %v, coroutine %v", kind, seed, pid, flRes.Finished[pid], coRes.Finished[pid])
-				}
-				// Crashed processes stop at different points in their local
-				// computation (the coroutine body parks mid-op), so only
-				// compare draws for finished processes.
-				if coRes.Finished[pid] && coSum[pid] != m.sum[pid] {
-					t.Errorf("%v seed %d: rng draw mismatch for pid %d", kind, seed, pid)
-				}
+			// Unfinished processes stop at different points in their local
+			// computation (the coroutine body parks mid-op), so only
+			// compare draws for finished processes.
+			if coRes.Finished[pid] && coSum[pid] != m.sum[pid] {
+				t.Errorf("%s: rng draw mismatch for pid %d", in.name, pid)
 			}
 		}
+	}
+}
+
+// TestFlatCrashTailEndsRunAtCutoff is TestCrashTailEndsRunAtCutoff on
+// the flat engine: the same crash tail must end at the same slot with the
+// same processes finished.
+func TestFlatCrashTailEndsRunAtCutoff(t *testing.T) {
+	need := []int{100000, 100000, 1}
+	flRes, flErr := RunFlat(crashTailSource(), newCountdown(need), Config{AlgSeed: 1})
+	checkCrashTail(t, flRes, flErr)
+	coRes, _ := RunControlled(crashTailSource(), countdownBody(need, make([]uint64, 3)), Config{AlgSeed: 1})
+	if flRes.Slots != coRes.Slots {
+		t.Fatalf("flat slots = %d, coroutine %d", flRes.Slots, coRes.Slots)
 	}
 }
 

@@ -26,14 +26,16 @@
 //
 // # Controlled-mode execution engine
 //
-// Each process body runs inside an iter.Pull coroutine. The driver is the
-// adversary loop: it draws one schedule slot at a time from the source
-// (resolving uncharged no-op slots in bulk when the source supports
-// sched.Skipper) and resumes the scheduled process's coroutine, which
-// executes exactly one shared-memory operation and parks at its next
-// Step. A coroutine switch is a direct register-level transfer that never
-// goes through the goroutine scheduler, so one simulated step costs far
-// less than the park/wake round trip of a channel-based engine.
+// Each process body runs inside an iter.Pull coroutine. The adversary
+// loop (runSlots) draws one schedule slot at a time from the source and
+// resumes the scheduled process's coroutine, which executes exactly one
+// shared-memory operation and parks at its next Step. A coroutine switch
+// is a direct register-level transfer that never goes through the
+// goroutine scheduler, so one simulated step costs far less than the
+// park/wake round trip of a channel-based engine. The flat engine
+// (flat.go) runs on the same loop with a state-machine step in place of
+// the resume, so both engines consume a schedule identically by
+// construction.
 //
 // The coroutine engine also makes the run sequential *by construction*:
 // at any instant exactly one of {driver, some process} is running, and
@@ -96,12 +98,11 @@ func SetExclusiveSubstrate(on bool) bool {
 type procAborted struct{}
 
 // runState is the pooled per-run state of one controlled run: the
-// process handles and the done bookkeeping the driver maintains. Exactly
+// process handles and the done flags the slot loop maintains. Exactly
 // one goroutine owns a runState at a time.
 type runState struct {
-	procs   []*Proc
-	done    []bool
-	doneCnt int
+	procs []*Proc
+	done  []bool
 }
 
 var statePool sync.Pool
@@ -120,10 +121,6 @@ func getState(n int) *runState {
 		rs.done = make([]bool, n)
 	}
 	rs.done = rs.done[:n]
-	for i := range rs.done {
-		rs.done[i] = false
-	}
-	rs.doneCnt = 0
 	return rs
 }
 
@@ -322,17 +319,15 @@ func AddSteps(steps int64) { totalStepsRun.Add(steps) }
 // Cached metrics instruments; all nil (free no-ops) until a registry is
 // installed. The step-latency histogram records wall nanoseconds per
 // modeled step, amortized over batches of up to meterBatch granted steps:
-// the driver times the batch and divides by its grant count, which costs
-// two clock reads per batch and so stays off the step hot path entirely.
-// The window histogram records the grant count of each timed batch.
+// the slot loop times the batch and divides by its grant count, which
+// costs two clock reads per batch and so stays off the step hot path.
 var (
-	mRuns       *metrics.Counter
-	mSteps      *metrics.Counter
-	mSlots      *metrics.Counter
-	mRunSteps   *metrics.Histogram
-	mRunSlots   *metrics.Histogram
-	mWindowSize *metrics.Histogram
-	mStepNanos  *metrics.Histogram
+	mRuns      *metrics.Counter
+	mSteps     *metrics.Counter
+	mSlots     *metrics.Counter
+	mRunSteps  *metrics.Histogram
+	mRunSlots  *metrics.Histogram
+	mStepNanos *metrics.Histogram
 )
 
 func init() {
@@ -342,7 +337,6 @@ func init() {
 		mSlots = r.Counter("sim.slots")
 		mRunSteps = r.Histogram("sim.run_steps")
 		mRunSlots = r.Histogram("sim.run_slots")
-		mWindowSize = r.Histogram("sim.window_slots")
 		mStepNanos = r.Histogram("sim.step_latency_ns")
 	})
 }
@@ -437,9 +431,9 @@ func RunControlled(src sched.Source, body Body, cfg Config) (Result, error) {
 		p.next, p.stop = iter.Pull(procSeq(p, body))
 	}
 
-	// If a body panics, the panic propagates out of next() into drive and
-	// through here; reclaim the remaining parked coroutines but do not
-	// pool the (possibly inconsistent) state.
+	// If a body panics, the panic propagates out of next() through
+	// runSlots and here; reclaim the remaining parked coroutines but do
+	// not pool the (possibly inconsistent) state.
 	completed := false
 	defer func() {
 		if !completed {
@@ -449,199 +443,15 @@ func RunControlled(src sched.Source, body Body, cfg Config) (Result, error) {
 		}
 	}()
 
-	res, err := drive(src, rs, cfg, body, inj)
-
-	// Reclaim processes still parked at a Step: stop makes their pending
-	// yield return false, unwinding the coroutine through its defers.
-	for i := 0; i < n; i++ {
-		rs.procs[i].stop()
-	}
-	observeRun(res, true)
-	completed = true
-	putState(rs, n)
-	return res, err
-}
-
-// restartProc delivers a crash-recovery fault to pid: the current
-// incarnation's coroutine is unwound (amnesia — all local state is
-// lost), and the body restarts from the top with a fresh private RNG
-// stream decorrelated by the incarnation count. Shared writes persist,
-// cumulative step counts persist; a process that had finished becomes
-// unfinished until its new incarnation completes.
-func restartProc(rs *runState, pid int, body Body, algSeed uint64) {
-	p := rs.procs[pid]
-	p.stop()
-	p.incarnation++
-	var root xrand.Rand
-	root.Reseed(algSeed)
-	root.ForkNamedInto(uint64(pid)|uint64(p.incarnation)<<32, &p.rng)
-	if p.scratch != nil {
-		clear(p.scratch)
-	}
-	p.next, p.stop = iter.Pull(procSeq(p, body))
-	if _, ok := p.next(); !ok {
-		// The reborn body finished without taking a step.
-		if !rs.done[pid] {
-			rs.done[pid] = true
-			rs.doneCnt++
-		}
-		return
-	}
-	if rs.done[pid] {
-		rs.done[pid] = false
-		rs.doneCnt--
-	}
-}
-
-// drive is the adversary loop. It consumes schedule slots one at a time —
-// resolving uncharged no-op slots (finished or crashed processes) in bulk
-// when the source supports sched.Skipper — and resumes the scheduled
-// process's coroutine for exactly one operation per charged slot.
-func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Injector) (Result, error) {
+	// A resume runs the body to its next Step (its first, when priming),
+	// which executes exactly one shared-memory operation.
 	procs := rs.procs
-	n := src.N()
-	maxSlots := cfg.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = defaultMaxSlots
+	resume := func(pid int) bool {
+		_, ok := procs[pid].next()
+		return !ok
 	}
-	var (
-		slots int64
-		err   error
-	)
-
-	// Prime every coroutine: run each body to its first Step (or to
-	// completion, for bodies that never take a step). Code before the
-	// first Step touches nothing shared — every shared-memory operation
-	// starts by stepping — so priming order is unobservable.
-	for pid := 0; pid < n; pid++ {
-		if _, ok := procs[pid].next(); !ok {
-			rs.done[pid] = true
-			rs.doneCnt++
-		}
-	}
-
-	ca, _ := src.(sched.CrashAware)
-	alive := func(pid int) bool { return ca == nil || ca.Alive(pid) }
-	liveDone := func() bool {
-		if rs.doneCnt == n {
-			return true
-		}
-		if ca == nil {
-			// Without crashes every process eventually finishes, so the
-			// count alone decides — no O(n) scan.
-			return false
-		}
-		for pid := 0; pid < n; pid++ {
-			if !rs.done[pid] && ca.Alive(pid) {
-				return false
-			}
-		}
-		return true
-	}
-
-	skipper, _ := src.(sched.Skipper)
-	if inj != nil {
-		// Slot-addressed fault events must observe every slot index, so
-		// bulk no-op skipping is off for faulted runs (the same trade
-		// trace.RecordingSource makes to see every slot).
-		skipper = nil
-	}
-	// skipPred accepts uncharged no-op slots, bounded to skipBatch per
-	// SkipWhile call. The bound matters for correctness, not just
-	// fairness: a crash cutoff can pass in the middle of a skipped run,
-	// at which point every pid the source still emits may be a no-op and
-	// an unbounded skip would never return — the driver must get control
-	// back to re-evaluate liveDone. A pid rejected by the bound is
-	// stashed by the source, re-delivered by the next Next, and handled
-	// as an ordinary no-op slot, so the schedule is unchanged.
-	const skipBatch = 1024
-	batch := 0
-	skipPred := func(pid int) bool {
-		if batch >= skipBatch || !(rs.done[pid] || !alive(pid)) {
-			return false
-		}
-		batch++
-		return true
-	}
-
-	metered := mStepNanos != nil
-	var (
-		grants int64
-		t0     time.Time
-	)
-
-	for {
-		if inj != nil {
-			// Deliver process faults due at the current slot clock.
-			// Restarts run before the liveDone check because a reborn
-			// process can un-finish the run.
-			inj.Advance(slots)
-			for {
-				pid, ok := inj.TakeRestart()
-				if !ok {
-					break
-				}
-				if alive(pid) {
-					// Schedule-level crashes are permanent: a pid the
-					// adversary crashed does not recover.
-					restartProc(rs, pid, body, cfg.AlgSeed)
-				}
-			}
-		}
-		if liveDone() {
-			break
-		}
-		if slots >= maxSlots {
-			slots = maxSlots
-			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
-			break
-		}
-		if skipper != nil {
-			batch = 0
-			slots += skipper.SkipWhile(skipPred)
-			if slots >= maxSlots {
-				if slots > maxSlots {
-					slots = maxSlots
-				}
-				continue
-			}
-		}
-		pid := src.Next()
-		if pid == sched.Exhausted {
-			if !liveDone() {
-				err = ErrScheduleExhausted
-			}
-			break
-		}
-		slots++
-		if rs.done[pid] || !alive(pid) {
-			// Uncharged no-op slot, per the model.
-			continue
-		}
-		if inj != nil && inj.Wasted(pid, slots-1) {
-			// A stutter or stall consumes the slot without running the
-			// process: the schedule advances, no step is charged.
-			continue
-		}
-		if metered && grants == 0 {
-			t0 = time.Now()
-		}
-		if _, ok := procs[pid].next(); !ok {
-			rs.done[pid] = true
-			rs.doneCnt++
-		}
-		if metered {
-			if grants++; grants >= meterBatch {
-				mWindowSize.Observe(grants)
-				mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-				grants = 0
-			}
-		}
-	}
-	if metered && grants > 0 {
-		mWindowSize.Observe(grants)
-		mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
-	}
+	restart := func(pid int) bool { return restartProc(procs[pid], body, cfg.AlgSeed) }
+	slots, err := runSlots(src, cfg.MaxSlots, inj, rs.done, resume, resume, restart)
 
 	res := Result{
 		Steps:    make([]int64, n),
@@ -657,7 +467,157 @@ func drive(src sched.Source, rs *runState, cfg Config, body Body, inj *fault.Inj
 		res.Faults = inj.Counts()
 		res.Restarts = res.Faults.Restarts
 	}
+
+	// Reclaim processes still parked at a Step: stop makes their pending
+	// yield return false, unwinding the coroutine through its defers.
+	for i := 0; i < n; i++ {
+		rs.procs[i].stop()
+	}
+	observeRun(res, true)
+	completed = true
+	putState(rs, n)
 	return res, err
+}
+
+// restartProc delivers a crash-recovery fault to p: the current
+// incarnation's coroutine is unwound (amnesia — all local state is
+// lost), and the body restarts from the top with a fresh private RNG
+// stream decorrelated by the incarnation count. Shared writes persist,
+// cumulative step counts persist; a process that had finished becomes
+// unfinished until its new incarnation completes. It reports whether the
+// reborn body finished without taking a step.
+func restartProc(p *Proc, body Body, algSeed uint64) bool {
+	p.stop()
+	p.incarnation++
+	var root xrand.Rand
+	root.Reseed(algSeed)
+	root.ForkNamedInto(uint64(p.id)|uint64(p.incarnation)<<32, &p.rng)
+	if p.scratch != nil {
+		clear(p.scratch)
+	}
+	p.next, p.stop = iter.Pull(procSeq(p, body))
+	_, ok := p.next()
+	return !ok
+}
+
+// runSlots is the adversary loop both controlled engines run on. It
+// primes every process in pid order, then consumes the schedule one slot
+// at a time through src.Next: a slot that falls to a finished or crashed
+// process is an uncharged no-op (Section 1.1), and any other slot grants
+// its process exactly one shared-memory operation. It returns the number
+// of slots consumed once every live process has finished, the schedule
+// is exhausted, or the slot budget fires.
+//
+// prime and grant report whether pid has finished; done (one entry per
+// process) receives those flags. Priming runs each body to its first
+// shared-memory operation, and code before that touches nothing shared,
+// so priming order is unobservable. When inj is non-nil the loop also
+// runs the fault clock: restart delivers a crash-recovery fault and
+// reports whether the reborn process has already finished.
+func runSlots(src sched.Source, maxSlots int64, inj *fault.Injector, done []bool,
+	prime, grant, restart func(pid int) bool) (int64, error) {
+	n := len(done)
+	if maxSlots <= 0 {
+		maxSlots = defaultMaxSlots
+	}
+	doneCnt := 0
+	for pid := 0; pid < n; pid++ {
+		done[pid] = prime(pid)
+		if done[pid] {
+			doneCnt++
+		}
+	}
+
+	// The run is over once every process the schedule can still run has
+	// finished. Without crashes every process eventually finishes, so the
+	// count alone decides and no slot pays for an O(n) scan.
+	ca, _ := src.(sched.CrashAware)
+	metered := mStepNanos != nil
+	var (
+		slots  int64
+		err    error
+		grants int64
+		t0     time.Time
+	)
+	for {
+		if inj != nil {
+			// Deliver process faults due at the current slot clock.
+			// Restarts run before the completion check because a reborn
+			// process can un-finish the run.
+			inj.Advance(slots)
+			for {
+				pid, ok := inj.TakeRestart()
+				if !ok {
+					break
+				}
+				if ca != nil && !ca.Alive(pid) {
+					// Schedule-level crashes are permanent: a pid the
+					// adversary crashed does not recover.
+					continue
+				}
+				fin := restart(pid)
+				if fin != done[pid] {
+					if fin {
+						doneCnt++
+					} else {
+						doneCnt--
+					}
+					done[pid] = fin
+				}
+			}
+		}
+		if doneCnt == n || ca != nil && liveDone(ca, done) {
+			break
+		}
+		if slots >= maxSlots {
+			err = fmt.Errorf("%w (budget %d)", ErrSlotBudget, maxSlots)
+			break
+		}
+		pid := src.Next()
+		if pid == sched.Exhausted {
+			if doneCnt < n && (ca == nil || !liveDone(ca, done)) {
+				err = ErrScheduleExhausted
+			}
+			break
+		}
+		slots++
+		if done[pid] || (ca != nil && !ca.Alive(pid)) {
+			// Uncharged no-op slot, per the model.
+			continue
+		}
+		if inj != nil && inj.Wasted(pid, slots-1) {
+			// A stutter or stall consumes the slot without running the
+			// process: the schedule advances, no step is charged.
+			continue
+		}
+		if metered && grants == 0 {
+			t0 = time.Now()
+		}
+		if grant(pid) {
+			done[pid] = true
+			doneCnt++
+		}
+		if metered {
+			if grants++; grants >= meterBatch {
+				mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
+				grants = 0
+			}
+		}
+	}
+	if metered && grants > 0 {
+		mStepNanos.Observe(time.Since(t0).Nanoseconds() / grants)
+	}
+	return slots, err
+}
+
+// liveDone reports whether every process ca still schedules has finished.
+func liveDone(ca sched.CrashAware, done []bool) bool {
+	for pid, d := range done {
+		if !d && ca.Alive(pid) {
+			return false
+		}
+	}
+	return true
 }
 
 // Collect runs body under the controlled scheduler and gathers one output

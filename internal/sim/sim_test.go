@@ -135,39 +135,24 @@ func TestSlotBudget(t *testing.T) {
 	}
 }
 
-// noSkipCrashSource hides the Skipper fast path of a crash-aware source,
-// forcing the driver onto slot-at-a-time draws (the path recording
-// sources take).
-type noSkipCrashSource struct {
-	src sched.Source
-	ca  sched.CrashAware
+// crashTailCutoff and crashTailSource set up a crash tail: processes 0
+// and 1 are victims of a crash after crashTailCutoff slots, and only
+// process 2 survives.
+const crashTailCutoff = 50
+
+func crashTailSource() sched.Source {
+	return sched.NewCrashSet(sched.NewRoundRobin(3), []int{0, 1}, crashTailCutoff, 1)
 }
 
-func (s noSkipCrashSource) N() int             { return s.src.N() }
-func (s noSkipCrashSource) Next() int          { return s.src.Next() }
-func (s noSkipCrashSource) Alive(pid int) bool { return s.ca.Alive(pid) }
-
-func TestCrashTailEndsRunAtCutoff(t *testing.T) {
-	// The survivor finishes before the crash cutoff passes; the victims
-	// never finish. Crossing the cutoff completes the run mid-draw, and
-	// the driver must notice instead of spinning through no-op slots to
-	// the slot budget (found by FuzzCrashScheduleReplay).
-	const cutoff = 50
-	cs := sched.NewCrashSet(sched.NewRoundRobin(3), []int{0, 1}, cutoff, 1)
-	res, err := RunControlled(noSkipCrashSource{src: cs, ca: cs}, func(p *Proc) {
-		steps := 1
-		if p.ID() != 2 {
-			steps = 100000 // victims can never finish
-		}
-		for i := 0; i < steps; i++ {
-			p.Step()
-		}
-	}, Config{AlgSeed: 1})
+// checkCrashTail asserts that a crash-tail run ended right after the
+// cutoff with only the survivor finished.
+func checkCrashTail(t *testing.T, res Result, err error) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Slots > cutoff+3 {
-		t.Fatalf("slots = %d, want run to end right after the cutoff (%d)", res.Slots, cutoff)
+	if res.Slots > crashTailCutoff+3 {
+		t.Fatalf("slots = %d, want run to end right after the cutoff (%d)", res.Slots, crashTailCutoff)
 	}
 	want := []bool{false, false, true}
 	for pid, f := range res.Finished {
@@ -175,6 +160,15 @@ func TestCrashTailEndsRunAtCutoff(t *testing.T) {
 			t.Errorf("Finished[%d] = %v, want %v", pid, f, want[pid])
 		}
 	}
+}
+
+func TestCrashTailEndsRunAtCutoff(t *testing.T) {
+	// The survivor finishes before the crash cutoff passes; the victims
+	// never finish. Crossing the cutoff completes the run mid-draw, and
+	// the slot loop must notice instead of spinning through no-op slots
+	// to the slot budget (found by FuzzCrashScheduleReplay).
+	res, err := RunControlled(crashTailSource(), countdownBody([]int{100000, 100000, 1}, make([]uint64, 3)), Config{AlgSeed: 1})
+	checkCrashTail(t, res, err)
 }
 
 func TestNoStepBodyFinishesImmediately(t *testing.T) {
@@ -431,7 +425,7 @@ func TestRunControlledSequentialReuseOfProcIDs(t *testing.T) {
 
 func TestBatonHandoffUnderCrashHalfRace(t *testing.T) {
 	// Exercises the baton handoff — grants, releases, drain of unfinished
-	// processes, and the bulk-skip path — under a crashing schedule. Kept
+	// processes, and uncharged no-op slots — under a crashing schedule. Kept
 	// small so it stays cheap under -race -short; the race detector is the
 	// point, the assertions are a sanity floor.
 	const n = 8

@@ -1,7 +1,10 @@
 // Package trace provides execution-capture utilities: a recording
 // schedule source that allows any controlled run to be replayed exactly
 // (the debugging workflow for probabilistic protocols), and a small
-// concurrency-safe event log used when instrumenting runs.
+// concurrency-safe event log used when instrumenting runs. Controlled
+// runs consume every schedule slot through Source.Next, no-op slots
+// included, so a RecordingSource wrapped around any source captures the
+// complete schedule.
 package trace
 
 import (
@@ -16,9 +19,7 @@ import (
 // emits — and, for crash-aware sources, the slot at which each process
 // was first observed dead — so the exact schedule of a run, including one
 // produced by a stateful random source with crashes, can be replayed
-// later. A RecordingSource deliberately does not implement sched.Skipper:
-// bulk-skipped slots would bypass recording, so recorded runs take the
-// slot-at-a-time path.
+// later.
 type RecordingSource struct {
 	inner sched.Source
 	ca    sched.CrashAware // nil when inner is not crash-aware
@@ -170,7 +171,6 @@ func NewReplay(n int, slots, deadAt []int) (*ReplaySource, error) {
 var (
 	_ sched.Source     = (*ReplaySource)(nil)
 	_ sched.CrashAware = (*ReplaySource)(nil)
-	_ sched.Skipper    = (*ReplaySource)(nil)
 )
 
 // N implements sched.Source.
@@ -190,24 +190,6 @@ func (s *ReplaySource) Next() int {
 func (s *ReplaySource) Alive(pid int) bool {
 	d := s.deadAt[pid]
 	return d < 0 || s.pos < d
-}
-
-// SkipWhile implements sched.Skipper. The slot clock is advanced before
-// pred runs and rewound on rejection, so pred observes Alive exactly as
-// it would through a draw-then-check Next sequence — matching how the
-// original (stash-based) crash sources behave under bulk skipping.
-func (s *ReplaySource) SkipWhile(pred func(pid int) bool) int64 {
-	var skipped int64
-	for s.pos < len(s.slots) {
-		pid := s.slots[s.pos]
-		s.pos++
-		if !pred(pid) {
-			s.pos--
-			return skipped
-		}
-		skipped++
-	}
-	return skipped
 }
 
 // Event is one recorded protocol event.
