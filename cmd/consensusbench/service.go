@@ -32,7 +32,6 @@ type serviceFlags struct {
 	readFrac float64
 	keys     int
 	skew     string
-	protocol string
 	addr     string // drive a remote node over HTTP instead of in-process
 	jsonOut  string
 	baseline string
@@ -48,7 +47,7 @@ type serviceRecord struct {
 	ReadFrac        float64        `json:"read_frac"`
 	Keys            int            `json:"keys"`
 	Skew            string         `json:"skew"`
-	Protocol        string         `json:"protocol"`
+	Protocol        string         `json:"protocol"` // slot adopt-commit of the in-process nodes
 	Pipeline        int            `json:"pipeline"`
 	BatchMax        int            `json:"batch_max"`
 	Entries         []serviceEntry `json:"entries"`
@@ -117,7 +116,6 @@ func runLoad(args []string, out io.Writer) error {
 	fs.Float64Var(&sf.readFrac, "read-frac", 0, "fraction of ops that are reads (0 = default 0.25)")
 	fs.IntVar(&sf.keys, "keys", 0, "keyspace size (0 = default 1024)")
 	fs.StringVar(&sf.skew, "skew", "", "key popularity: uniform or zipf (default uniform)")
-	fs.StringVar(&sf.protocol, "protocol", "", "consensus construction per slot: register, snapshot, or linear (default register)")
 	fs.StringVar(&sf.addr, "addr", "", "drive a running consensusd at this address over HTTP instead of an in-process node")
 	fs.StringVar(&sf.jsonOut, "json", "", "write an rsm-service/v1 JSON load record to this path")
 	fs.StringVar(&sf.baseline, "baseline", "", "compare write throughput against a committed rsm-service/v1 record; exit nonzero on a >10% regression (skipped across host shapes)")
@@ -180,7 +178,6 @@ func runLoad(args []string, out io.Writer) error {
 		ReadFrac:        sf.readFrac,
 		Keys:            sf.keys,
 		Skew:            sf.skew,
-		Protocol:        protoOrDefault(sf.protocol),
 		Pipeline:        sf.pipeline,
 		BatchMax:        sf.batchMax,
 	}
@@ -209,11 +206,11 @@ func runLoad(args []string, out io.Writer) error {
 				BatchMax:   sf.batchMax,
 				QueueDepth: sf.queue,
 				Seed:       sh.seed,
-				Protocol:   sf.protocol,
 			})
 			if err != nil {
 				return err
 			}
+			rec.Protocol = node.Status().Protocol
 			rep, err := service.RunLoad(service.NodeBackend{Node: node}, lc)
 			occ := node.BatchOccupancy()
 			if cerr := node.Close(); err == nil {
@@ -249,13 +246,6 @@ func runLoad(args []string, out io.Writer) error {
 		return compareBaseline(out, sf.baseline, "", "writes/s", rates)
 	}
 	return nil
-}
-
-func protoOrDefault(p string) string {
-	if p == "" {
-		return "register"
-	}
-	return p
 }
 
 func parseShardCounts(spec string) ([]int, error) {

@@ -64,8 +64,10 @@ func TestServiceLoadRecord(t *testing.T) {
 	}
 }
 
+// TestServiceLoadZipfAndProtocol: the record carries the skew and the
+// adopt-commit the pipeline width selects (snapshot above W = 2).
 func TestServiceLoadZipfAndProtocol(t *testing.T) {
-	rec := runServiceQuick(t, "-shards", "1", "-skew", "zipf", "-protocol", "snapshot")
+	rec := runServiceQuick(t, "-shards", "1", "-skew", "zipf", "-pipeline", "4")
 	if rec.Skew != "zipf" || rec.Protocol != "snapshot" {
 		t.Fatalf("record skew %q protocol %q", rec.Skew, rec.Protocol)
 	}
@@ -97,7 +99,7 @@ func TestServiceFlagValidation(t *testing.T) {
 		{"zero shards", load("-shards", "0"), ""},
 		{"bad skew", load("-skew", "pareto"), ""},
 		{"bad read frac", load("-read-frac", "1.5"), ""},
-		{"bad protocol", load("-protocol", "paxos"), ""},
+		{"removed protocol flag", load("-protocol", "register"), unknownFlag},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

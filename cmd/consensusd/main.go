@@ -3,6 +3,9 @@
 //
 //	consensusd -addr :8080 -shards 4 -pipeline 4
 //
+// Each slot decides among the shard's -pipeline proposer ids, with the
+// register adopt-commit up to 2 and the snapshot one above.
+//
 //	curl -X PUT  localhost:8080/v1/kv/greeting -d hello
 //	curl         localhost:8080/v1/kv/greeting
 //	curl -X POST localhost:8080/v1/kv/hits/inc
@@ -71,7 +74,6 @@ func run(args []string, out *os.File, ready chan<- string) error {
 		batchMax  = fs.Int("batch-max", 64, "max ops batched into one consensus slot")
 		queue     = fs.Int("queue", 256, "per-shard intake queue depth (backpressure bound)")
 		seed      = fs.Uint64("seed", 1, "root seed for the consensus RNG streams")
-		protocol  = fs.String("protocol", "register", "consensus construction: register, snapshot, or linear")
 		debugAddr = fs.String("debug-addr", "", "serve expvar metrics and pprof on this address (off when empty)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -99,7 +101,6 @@ func run(args []string, out *os.File, ready chan<- string) error {
 		BatchMax:   *batchMax,
 		QueueDepth: *queue,
 		Seed:       *seed,
-		Protocol:   *protocol,
 	})
 	if err != nil {
 		return err
@@ -117,9 +118,9 @@ func run(args []string, out *os.File, ready chan<- string) error {
 	defer signal.Stop(stop)
 
 	srv := newServer(service.NewHandler(node))
-	cfg := node.Config()
+	st := node.Status()
 	fmt.Fprintf(out, "consensusd: serving on http://%s (shards %d, pipeline %d, batch-max %d, protocol %s)\n",
-		ln.Addr(), cfg.Shards, cfg.Pipeline, cfg.BatchMax, protoName(cfg.Protocol))
+		ln.Addr(), st.Shards, st.Pipeline, st.BatchMax, st.Protocol)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -149,11 +150,4 @@ func run(args []string, out *os.File, ready chan<- string) error {
 	}
 	fmt.Fprintln(out, "consensusd: drained, bye")
 	return nil
-}
-
-func protoName(p string) string {
-	if p == "" {
-		return "register"
-	}
-	return p
 }

@@ -97,7 +97,6 @@ func TestRunLifecycle(t *testing.T) {
 func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-shards", "-1"},
-		{"-protocol", "paxos"},
 		{"positional"},
 	}
 	for _, args := range cases {

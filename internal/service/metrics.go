@@ -6,12 +6,13 @@ import "github.com/oblivious-consensus/conciliator/internal/metrics"
 // Install the registry (metrics.SetDefault) before Start so the
 // per-shard counters resolve too — see group.shardOps.
 var (
-	mSubmitted  *metrics.Counter   // service.ops_submitted: mutating ops accepted into a queue
-	mCommitted  *metrics.Counter   // service.ops_committed: ops applied from decided batches
-	mReads      *metrics.Counter   // service.reads: Get operations served from applied state
-	mBatches    *metrics.Counter   // service.batches: consensus slots decided and applied
-	mBatchOps   *metrics.Histogram // service.batch_ops: ops per decided batch (occupancy)
-	mQueueDepth *metrics.Histogram // service.queue_depth: intake queue length sampled at enqueue
+	mSubmitted      *metrics.Counter   // service.ops_submitted: mutating ops accepted into a queue
+	mCommitted      *metrics.Counter   // service.ops_committed: ops applied from decided batches
+	mReads          *metrics.Counter   // service.reads: Get operations served from applied state
+	mBatches        *metrics.Counter   // service.batches: consensus slots decided and applied
+	mBatchOps       *metrics.Histogram // service.batch_ops: ops per decided batch (occupancy)
+	mQueueDepth     *metrics.Histogram // service.queue_depth: intake queue length sampled at enqueue
+	mConsensusSteps *metrics.Counter   // service.consensus_steps: consensus-core steps taken deciding slots
 )
 
 func init() {
@@ -22,5 +23,6 @@ func init() {
 		mBatches = r.Counter("service.batches")
 		mBatchOps = r.Histogram("service.batch_ops")
 		mQueueDepth = r.Histogram("service.queue_depth")
+		mConsensusSteps = r.Counter("service.consensus_steps")
 	})
 }

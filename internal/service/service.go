@@ -14,7 +14,7 @@
 //     concurrently; a reorder buffer applies decided batches strictly in
 //     slot order, preserving state-machine determinism.
 //   - Sharding: a consistent hash of the key routes each op to one of S
-//     independent groups, each with its own rsm.Log and KV state, so
+//     independent groups, each with its own slot counter and KV state, so
 //     aggregate throughput scales with S (no cross-group coordination —
 //     and therefore no cross-key transactions across shards).
 //
@@ -24,7 +24,8 @@
 //
 // The consensus work runs on the concurrent simulator substrate: each
 // group owns one sim.RunConcurrent universe of W long-lived processes
-// (the proposer workers), with the Go runtime as the weak adversary.
+// (the proposer workers), each deciding its slots on its own
+// consensus.FlatConsensus by proposing its worker index.
 // Reads are served from the group's applied state under a read lock —
 // sequentially consistent with respect to the decided log each group has
 // applied, not linearizable across groups.
@@ -63,9 +64,6 @@ type Config struct {
 	// Seed seeds the consensus stack's per-process RNG streams. Group g
 	// forks its own named stream, so groups are decorrelated.
 	Seed uint64
-	// Protocol selects the consensus construction per slot: "register"
-	// (default), "snapshot", or "linear".
-	Protocol string
 }
 
 func (c *Config) defaults() error {
@@ -85,23 +83,46 @@ func (c *Config) defaults() error {
 		return fmt.Errorf("service: negative config value (shards %d, pipeline %d, batch-max %d, queue %d)",
 			c.Shards, c.Pipeline, c.BatchMax, c.QueueDepth)
 	}
-	if _, err := protocolFactory(c.Protocol); err != nil {
-		return err
-	}
 	return nil
 }
 
-func protocolFactory(name string) (func(n int) *consensus.Protocol[string], error) {
-	switch name {
-	case "", "register":
-		return consensus.NewRegister[string], nil
-	case "snapshot":
-		return consensus.NewSnapshot[string], nil
-	case "linear":
-		return consensus.NewLinear[string], nil
-	default:
-		return nil, fmt.Errorf("service: unknown protocol %q (want register, snapshot, or linear)", name)
+// acFor is the adopt-commit for w proposer ids: the binary register one
+// while the ids fit in {0, 1}, the snapshot one otherwise.
+func acFor(w int) string {
+	if w <= 2 {
+		return consensus.ACRegister
 	}
+	return consensus.ACSnapshot
+}
+
+// slotCore is one proposer worker's consensus instance over the group's
+// W processes, process i proposing i. Only a slot's claimant steps it,
+// so it needs no lock; Reset reuses it across the worker's slots.
+type slotCore struct {
+	fc  *consensus.FlatConsensus
+	ids []int64 // ids[i] = i
+}
+
+func newSlotCore(w int) *slotCore {
+	fc, err := consensus.NewFlat(w, consensus.FlatConfig{AC: acFor(w)})
+	if err != nil {
+		panic(err) // acFor names only adopt-commits NewFlat builds
+	}
+	ids := make([]int64, w)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return &slotCore{fc: fc, ids: ids}
+}
+
+// decide runs one slot with worker w as its only stepping process and
+// returns the decided proposer id and the steps w took.
+func (c *slotCore) decide(w int, rng *xrand.Rand) (decided, steps int64) {
+	c.fc.Reset(c.ids)
+	c.fc.Init(w, rng)
+	for steps = 1; !c.fc.Step(w, rng); steps++ {
+	}
+	return c.fc.Output(w), steps
 }
 
 // OpResult reports where a mutating op committed and, for OpInc, the
@@ -121,12 +142,13 @@ type pendingOp struct {
 }
 
 // decidedBatch is a worker's handoff to the group applier: the slot it
-// claimed, the value consensus decided there, and the submissions riding
-// in the proposed batch.
+// claimed, its own proposer id, the id consensus decided there, and the
+// encoded batch with the submissions riding in it.
 type decidedBatch struct {
 	slot     int
-	proposed string
-	decided  string
+	proposer int64
+	decided  int64
+	batch    string
 	waiters  []*pendingOp
 }
 
@@ -143,10 +165,8 @@ type Node struct {
 }
 
 type group struct {
-	id   int
-	cfg  *Config
-	log  *rsm.Log[string]
-	node *Node
+	id  int
+	cfg *Config
 
 	intake  chan *pendingOp
 	decided chan decidedBatch
@@ -173,15 +193,12 @@ func Start(cfg Config) (*Node, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	mk, _ := protocolFactory(cfg.Protocol)
 	n := &Node{cfg: cfg}
 	root := xrand.New(cfg.Seed)
 	for gid := 0; gid < cfg.Shards; gid++ {
 		g := &group{
 			id:         gid,
 			cfg:        &n.cfg,
-			node:       n,
-			log:        rsm.NewLog[string](cfg.Pipeline, mk),
 			intake:     make(chan *pendingOp, cfg.QueueDepth),
 			decided:    make(chan decidedBatch, cfg.Pipeline),
 			kv:         rsm.NewKV(),
@@ -207,9 +224,6 @@ func Start(cfg Config) (*Node, error) {
 	}
 	return n, nil
 }
-
-// Config returns the node's resolved configuration.
-func (n *Node) Config() Config { return n.cfg }
 
 // Shards returns the number of consensus groups.
 func (n *Node) Shards() int { return n.cfg.Shards }
@@ -280,11 +294,13 @@ func (n *Node) Get(key string) (string, bool) {
 
 // worker is one proposer process: it blocks for the first queued op,
 // drains up to BatchMax-1 more without blocking, claims the group's next
-// slot, proposes the encoded batch into that slot's consensus instance,
-// and hands the decided batch to the applier. Exactly one worker
-// proposes per slot (the claim is an atomic counter), so the decided
-// value is always the claimant's own proposal.
+// slot, decides the slot on its own consensus core proposing its worker
+// index, and hands the decision with the encoded batch to the applier.
+// Exactly one worker proposes per slot (the claim is an atomic counter),
+// so by validity the decided id is always the claimant's own.
 func (g *group) worker(p *sim.Proc) {
+	w := p.ID()
+	core := newSlotCore(g.cfg.Pipeline)
 	for {
 		first, ok := <-g.intake
 		if !ok {
@@ -311,8 +327,9 @@ func (g *group) worker(p *sim.Proc) {
 		}
 		enc := EncodeBatch(ops)
 		slot := int(g.nextSlot.Add(1) - 1)
-		dec := g.log.Propose(p, slot, enc)
-		g.decided <- decidedBatch{slot: slot, proposed: enc, decided: dec, waiters: batch}
+		dec, steps := core.decide(w, p.Rng())
+		mConsensusSteps.Add(steps)
+		g.decided <- decidedBatch{slot: slot, proposer: int64(w), decided: dec, batch: enc, waiters: batch}
 	}
 }
 
@@ -337,13 +354,13 @@ func (g *group) applier() {
 }
 
 func (g *group) apply(d decidedBatch) {
-	if d.decided != d.proposed {
+	if d.decided != d.proposer {
 		// Slots are single-proposer by construction, so consensus
-		// validity forces decided == proposed; anything else means the
+		// validity forces the claimant's id; anything else means the
 		// slot-claim invariant broke and waiters would be lost.
-		panic(fmt.Sprintf("service: group %d slot %d decided a batch nobody proposed there", g.id, d.slot))
+		panic(fmt.Sprintf("service: group %d slot %d decided proposer %d, claimed by %d", g.id, d.slot, d.decided, d.proposer))
 	}
-	ops, err := DecodeBatch(d.decided)
+	ops, err := DecodeBatch(d.batch)
 	if err != nil {
 		panic(fmt.Sprintf("service: group %d slot %d decided undecodable batch: %v", g.id, d.slot, err))
 	}
@@ -355,7 +372,7 @@ func (g *group) apply(d decidedBatch) {
 		res.Value, res.Found = g.kv.Get(bo.Op.Key)
 		results[i] = res
 	}
-	g.decidedLog = append(g.decidedLog, d.decided)
+	g.decidedLog = append(g.decidedLog, d.batch)
 	g.appliedSlots++
 	g.appliedOps += int64(len(ops))
 	g.batchSizes.Add(int64(len(ops)))
@@ -410,7 +427,7 @@ type Status struct {
 	Pipeline   int           `json:"pipeline"`
 	BatchMax   int           `json:"batch_max"`
 	QueueDepth int           `json:"queue_depth"`
-	Protocol   string        `json:"protocol"`
+	Protocol   string        `json:"protocol"` // slot adopt-commit: register or snapshot
 	Submitted  uint64        `json:"submitted"`
 	Groups     []GroupStatus `json:"groups"`
 }
@@ -422,11 +439,8 @@ func (n *Node) Status() Status {
 		Pipeline:   n.cfg.Pipeline,
 		BatchMax:   n.cfg.BatchMax,
 		QueueDepth: n.cfg.QueueDepth,
-		Protocol:   n.cfg.Protocol,
+		Protocol:   acFor(n.cfg.Pipeline),
 		Submitted:  n.seq.Load(),
-	}
-	if s.Protocol == "" {
-		s.Protocol = "register"
 	}
 	for _, g := range n.groups {
 		g.mu.RLock()

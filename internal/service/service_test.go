@@ -3,10 +3,12 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
+	"github.com/oblivious-consensus/conciliator/internal/metrics"
 	"github.com/oblivious-consensus/conciliator/internal/rsm"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
@@ -293,15 +295,12 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := Start(Config{Shards: -1}); err == nil {
 		t.Fatal("Start accepted negative shard count")
 	}
-	if _, err := Start(Config{Protocol: "paxos"}); err == nil {
-		t.Fatal("Start accepted unknown protocol")
-	}
 	n, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if got := n.Config(); got.Shards != 1 || got.Pipeline != 2 || got.BatchMax != 64 || got.QueueDepth != 256 {
+	if got := n.Status(); got.Shards != 1 || got.Pipeline != 2 || got.BatchMax != 64 || got.QueueDepth != 256 {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
 	if _, err := n.Submit(0, rsm.Op{Kind: rsm.OpKind(99), Key: "k"}); err == nil {
@@ -309,27 +308,135 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestProtocolVariants runs a small workload through each consensus
-// construction the service can mount.
-func TestProtocolVariants(t *testing.T) {
-	for _, proto := range []string{"register", "snapshot", "linear"} {
-		t.Run(proto, func(t *testing.T) {
-			n, err := Start(Config{Protocol: proto, Pipeline: 2, Seed: 8})
+// TestPipelineWidths runs concurrent clients through nodes of pipeline
+// width W = 1, 2 and 4, covering both adopt-commits a slot core can run:
+// the register one while the proposer ids fit in {0, 1}, the snapshot
+// one above. Every slot's decided id must be its claimant's (apply
+// panics otherwise), and Status reports the adopt-commit.
+func TestPipelineWidths(t *testing.T) {
+	for _, tc := range []struct {
+		w    int
+		want string
+	}{{1, "register"}, {2, "register"}, {4, "snapshot"}} {
+		t.Run(fmt.Sprintf("W=%d", tc.w), func(t *testing.T) {
+			const clients, incs = 4, 10
+			n, err := Start(Config{Pipeline: tc.w, BatchMax: 2, Seed: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer n.Close()
-			for i := 0; i < 10; i++ {
-				if _, err := n.Submit(0, rsm.Op{Kind: rsm.OpInc, Key: "n"}); err != nil {
-					t.Fatal(err)
-				}
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < incs; i++ {
+						if _, err := n.Submit(uint32(c), rsm.Op{Kind: rsm.OpInc, Key: "n"}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(c)
 			}
-			if v, _ := n.Get("n"); v != "10" {
-				t.Fatalf("n = %q, want 10", v)
+			wg.Wait()
+			if v, _ := n.Get("n"); v != strconv.Itoa(clients*incs) {
+				t.Fatalf("n = %q, want %d", v, clients*incs)
 			}
-			if st := n.Status(); st.Protocol != proto {
-				t.Fatalf("status protocol %q, want %q", st.Protocol, proto)
+			if st := n.Status(); st.Protocol != tc.want {
+				t.Fatalf("status protocol %q, want %q", st.Protocol, tc.want)
 			}
 		})
+	}
+}
+
+// TestSlotCoreZeroAllocs: deciding a slot (Reset, Init and the Step
+// loop on the worker's reused core) allocates nothing, for both
+// adopt-commits.
+func TestSlotCoreZeroAllocs(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		core := newSlotCore(w)
+		rng := xrand.New(1)
+		pid := w - 1
+		if got := testing.AllocsPerRun(100, func() { core.decide(pid, rng) }); got != 0 {
+			t.Errorf("W=%d: %v allocs per slot, want 0", w, got)
+		}
+	}
+}
+
+// TestConsensusStepsPerSlot pins the cost of agreement the service pays:
+// a claimant deciding its slot alone takes 15 steps at W = 2, and the
+// service.consensus_steps counter publishes exactly that per batch.
+func TestConsensusStepsPerSlot(t *testing.T) {
+	const want = 15
+	core := newSlotCore(2)
+	rng := xrand.New(3)
+	for i := 0; i < 50; i++ {
+		w := i % 2
+		dec, steps := core.decide(w, rng)
+		if dec != int64(w) || steps != want {
+			t.Fatalf("slot %d by worker %d: decided %d in %d steps, want %d in %d", i, w, dec, steps, w, want)
+		}
+	}
+
+	r := metrics.New()
+	metrics.SetDefault(r)
+	defer metrics.SetDefault(nil)
+	n, err := Start(Config{Shards: 2, Pipeline: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := n.Submit(0, rsm.Op{Kind: rsm.OpInc, Key: fmt.Sprintf("k%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.Snapshot()
+	steps, batches := snap.Counters["service.consensus_steps"], snap.Counters["service.batches"]
+	if batches == 0 || steps != want*batches {
+		t.Fatalf("service.consensus_steps = %d over %d batches, want %d per batch", steps, batches, want)
+	}
+}
+
+// TestRetainedHeapPerWrite bounds what a node keeps per committed write:
+// the decided batch and the KV entry, not per-slot consensus objects.
+// 40k writes over 2 shards must grow the live heap by under 1 KB each.
+func TestRetainedHeapPerWrite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40k writes")
+	}
+	const clients, writes = 8, 40000
+	n, err := Start(Config{Shards: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < writes; i += clients {
+				op := rsm.Op{Kind: rsm.OpSet, Key: fmt.Sprintf("k%d", i%256), Value: "v"}
+				if _, err := n.Submit(uint32(c), op); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	perWrite := (float64(ms.HeapAlloc) - float64(before)) / writes
+	t.Logf("retained heap: %.0f B per write", perWrite)
+	if perWrite >= 1024 {
+		t.Fatalf("retained heap %.0f B per write, want < 1 KB", perWrite)
 	}
 }
