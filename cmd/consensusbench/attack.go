@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/attack/search"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 )
@@ -142,7 +143,7 @@ func runAttack(args []string, out io.Writer) error {
 		)
 		if af.jsonOut != "" {
 			path := attackArtifactPath(af.jsonOut, protocol, len(protocols) > 1)
-			if err := search.NewRecord(res).Save(path); err != nil {
+			if err := artifact.Save(path, search.NewRecord(res)); err != nil {
 				return fmt.Errorf("writing attack record: %w", err)
 			}
 			fmt.Fprintf(out, "attack: wrote %s\n", path)
@@ -153,15 +154,16 @@ func runAttack(args []string, out io.Writer) error {
 	return nil
 }
 
-// runAttackReplay re-runs a committed artifact's search from its recorded
-// configuration and verifies the regenerated artifact is byte-identical —
-// the CI check that committed attack records have not rotted.
-func runAttackReplay(out io.Writer, path string, parallel int) error {
-	rec, err := search.LoadRecord(path)
+// runAttackReplay re-runs the search of the artifact read from path (data
+// holds its bytes) from its recorded configuration and verifies the
+// regenerated artifact is byte-identical — the CI check that committed
+// attack records have not rotted.
+func runAttackReplay(out io.Writer, path string, data []byte, parallel int) error {
+	rec, err := artifact.Decode[search.Record](data)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
-	want, err := rec.Encode()
+	want, err := artifact.Encode(rec)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
@@ -169,7 +171,7 @@ func runAttackReplay(out io.Writer, path string, parallel int) error {
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
-	got, err := fresh.Encode()
+	got, err := artifact.Encode(fresh)
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}

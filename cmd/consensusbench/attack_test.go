@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/attack/search"
 )
 
@@ -91,7 +92,7 @@ func TestAttackSearchSmokeAndRecord(t *testing.T) {
 
 	for _, protocol := range search.Protocols() {
 		path := attackArtifactPath(base, protocol, true)
-		rec, err := search.LoadRecord(path)
+		rec, err := artifact.Load[search.Record](path)
 		if err != nil {
 			t.Fatalf("artifact for %s not written/decodable: %v", protocol, err)
 		}
@@ -138,7 +139,7 @@ func TestCommittedAttackArtifactsReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join("..", "..", name)
-			rec, err := search.LoadRecord(path)
+			rec, err := artifact.Load[search.Record](path)
 			if err != nil {
 				t.Fatalf("committed artifact unreadable: %v", err)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/des"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/stats"
@@ -358,7 +359,7 @@ func runDES(args []string, out io.Writer) error {
 	render(out, sh.format, &tbl)
 
 	if df.jsonOut != "" {
-		if err := writeJSON(df.jsonOut, rec); err != nil {
+		if err := artifact.WriteJSON(df.jsonOut, rec); err != nil {
 			return fmt.Errorf("writing DES record: %w", err)
 		}
 	}
@@ -406,16 +407,17 @@ func shrinkAndSaveRepro(cfg des.Config, dir string, idx int) (string, error) {
 	}
 	repro := des.BuildRepro(final, shrunk, res.Violations)
 	path := filepath.Join(dir, fmt.Sprintf("des_fault_n%d_%s_%d.json", cfg.N, cfg.Protocol, idx))
-	if err := repro.Save(path); err != nil {
+	if err := artifact.Save(path, repro); err != nil {
 		return "", err
 	}
 	return path, nil
 }
 
-// runDESFaultReplay loads a committed des-fault-repro/v1 artifact and
-// replays it, verifying the recorded violations reproduce byte-for-byte.
-func runDESFaultReplay(out io.Writer, path string) error {
-	repro, err := des.LoadFaultRepro(path)
+// runDESFaultReplay decodes the des-fault-repro/v1 artifact read from
+// path (data holds its bytes) and replays it, verifying the recorded
+// violations reproduce byte-for-byte.
+func runDESFaultReplay(out io.Writer, path string, data []byte) error {
+	repro, err := artifact.Decode[des.FaultRepro](data)
 	if err != nil {
 		return err
 	}

@@ -284,3 +284,19 @@ func TestCommittedDESFaultReproReplays(t *testing.T) {
 		t.Errorf("replay output missing confirmation:\n%s", b.String())
 	}
 }
+
+// TestCommittedFaultReproReplays: the committed conciliator-fault-repro/v1
+// artifact at the repo root (one stale read under regular registers)
+// still reproduces its exact recorded violations through replay.
+func TestCommittedFaultReproReplays(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"replay", filepath.Join("..", "..", "FAULT_REPRO_regular_stale_read.json")}, &b); err != nil {
+		t.Fatalf("committed artifact rotted: %v\n%s", err, b.String())
+	}
+	out := b.String()
+	for _, want := range []string{"agreement", "ac-validity", "ac-coherence", "ac-convergence", "reproduced exactly"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("replay output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/debugserver"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
@@ -185,7 +186,7 @@ func runExp(args []string, out io.Writer) error {
 	}
 	if *benchOut != "" {
 		rec.TotalWallSeconds = time.Since(suiteStart).Seconds()
-		if err := writeJSON(*benchOut, rec); err != nil {
+		if err := artifact.WriteJSON(*benchOut, rec); err != nil {
 			return fmt.Errorf("writing bench record: %w", err)
 		}
 	}
@@ -199,7 +200,7 @@ func runExp(args []string, out io.Writer) error {
 	if *benchConcOut != "" || *benchConcBaseline != "" {
 		crec := buildConcurrentRecord(out)
 		if *benchConcOut != "" {
-			if err := writeJSON(*benchConcOut, crec); err != nil {
+			if err := artifact.WriteJSON(*benchConcOut, crec); err != nil {
 				return fmt.Errorf("writing concurrent bench record: %w", err)
 			}
 		}
@@ -216,7 +217,7 @@ func runExp(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "metrics:\n%s", mrec.Totals.Text())
 	}
 	if *metricsOut != "" {
-		if err := writeJSON(*metricsOut, mrec); err != nil {
+		if err := artifact.WriteJSON(*metricsOut, mrec); err != nil {
 			return fmt.Errorf("writing metrics record: %w", err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
@@ -210,7 +211,7 @@ func runFault(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "fault: %d cells, %d violated trials, %.1fs\n", len(results), totalViolated, rep.WallSeconds)
 
 	if ff.jsonOut != "" {
-		if err := writeJSON(ff.jsonOut, rep); err != nil {
+		if err := artifact.WriteJSON(ff.jsonOut, rep); err != nil {
 			return fmt.Errorf("writing fault report: %w", err)
 		}
 	}
@@ -221,10 +222,11 @@ func runFault(args []string, out io.Writer) error {
 	return nil
 }
 
-// runFaultReplay re-executes a saved repro artifact and confirms the
-// violation reproduces.
-func runFaultReplay(out io.Writer, path string) error {
-	r, err := fault.LoadRepro(path)
+// runFaultReplay decodes the repro artifact read from path (data holds
+// its bytes), re-executes it and confirms it reproduces exactly the
+// recorded violations.
+func runFaultReplay(out io.Writer, path string, data []byte) error {
+	r, err := artifact.Decode[fault.Repro](data)
 	if err != nil {
 		return fmt.Errorf("loading repro: %w", err)
 	}
@@ -235,16 +237,15 @@ func runFaultReplay(out io.Writer, path string) error {
 		fmt.Fprintf(out, "  %-18s %s\n", v.Monitor, v.Detail)
 	}
 	res, err := experiment.ReplayRepro(r)
-	if err != nil {
-		return err
+	if len(res.Violations) > 0 {
+		fmt.Fprintf(out, "replay violations:\n")
 	}
-	if len(res.Violations) == 0 {
-		return fmt.Errorf("replay of %s produced no violations: artifact is stale or the bug is fixed", path)
-	}
-	fmt.Fprintf(out, "replay violations:\n")
 	for _, v := range res.Violations {
 		fmt.Fprintf(out, "  %-18s %s\n", v.Monitor, v.Detail)
 	}
-	fmt.Fprintf(out, "reproduced (%d restarts, faults injected: %d)\n", res.Res.Restarts, res.Res.Faults.Total())
+	if err != nil {
+		return fmt.Errorf("replaying %s: %w", path, err)
+	}
+	fmt.Fprintf(out, "reproduced exactly (%d restarts, faults injected: %d)\n", res.Res.Restarts, res.Res.Faults.Total())
 	return nil
 }

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
+	"github.com/oblivious-consensus/conciliator/internal/fault"
 )
 
 // TestFaultFlagValidation: every bad fault flag, and every flag of
@@ -157,6 +160,31 @@ func TestFaultReplayStaleArtifact(t *testing.T) {
 	err := run([]string{"replay", path}, &b)
 	if err == nil || !strings.Contains(err.Error(), "no violations") {
 		t.Fatalf("stale artifact not rejected: %v", err)
+	}
+}
+
+// TestFaultReplayRejectsDivergentViolations: replay demands the exact
+// recorded violations, so an artifact that records fewer (or different)
+// violations than its run produces fails instead of passing on "some
+// violation fired".
+func TestFaultReplayRejectsDivergentViolations(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "FAULT_REPRO_regular_stale_read.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := artifact.Decode[fault.Repro](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Violations = r.Violations[:len(r.Violations)-1]
+	path := filepath.Join(t.TempDir(), "divergent.json")
+	if err := artifact.Save(path, r); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	err = run([]string{"replay", path}, &b)
+	if err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("divergent artifact not rejected: %v\n%s", err, b.String())
 	}
 }
 

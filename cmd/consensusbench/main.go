@@ -195,15 +195,6 @@ func newHeader(schema string, seed uint64) recordHeader {
 	return h
 }
 
-// writeJSON writes v to path as indented JSON with a trailing newline.
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // regressionTolerance is how far below its baseline a gated rate may
 // fall before compareBaseline fails the run.
 const regressionTolerance = 0.9

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
@@ -169,7 +170,7 @@ func runMC(args []string, out io.Writer) error {
 	render(out, sh.format, &tbl)
 	if f.jsonOut != "" {
 		rec.WallSeconds = time.Since(start).Seconds()
-		if err := writeJSON(f.jsonOut, rec); err != nil {
+		if err := artifact.WriteJSON(f.jsonOut, rec); err != nil {
 			return fmt.Errorf("writing mc record: %w", err)
 		}
 	}

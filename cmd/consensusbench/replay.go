@@ -36,11 +36,11 @@ func runReplay(args []string, out io.Writer) error {
 	}
 	switch head.Schema {
 	case search.SchemaRecord:
-		return runAttackReplay(out, path, sh.parallel)
+		return runAttackReplay(out, path, data, sh.parallel)
 	case fault.SchemaRepro:
-		return runFaultReplay(out, path)
+		return runFaultReplay(out, path, data)
 	case des.SchemaFaultRepro:
-		return runDESFaultReplay(out, path)
+		return runDESFaultReplay(out, path, data)
 	default:
 		return fmt.Errorf("replay: %s has schema %q, want %s, %s, or %s",
 			path, head.Schema, search.SchemaRecord, fault.SchemaRepro, des.SchemaFaultRepro)

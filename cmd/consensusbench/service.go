@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/debugserver"
 	"github.com/oblivious-consensus/conciliator/internal/experiment"
 	"github.com/oblivious-consensus/conciliator/internal/metrics"
@@ -234,7 +235,7 @@ func runLoad(args []string, out io.Writer) error {
 		if err := rec.Validate(); err != nil {
 			return fmt.Errorf("refusing to write invalid record: %w", err)
 		}
-		if err := writeJSON(sf.jsonOut, rec); err != nil {
+		if err := artifact.WriteJSON(sf.jsonOut, rec); err != nil {
 			return fmt.Errorf("writing service record: %w", err)
 		}
 	}

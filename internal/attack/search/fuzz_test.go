@@ -3,6 +3,8 @@ package search
 import (
 	"bytes"
 	"testing"
+
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 )
 
 // fuzzReplayable bounds the records the fuzzer fully replays: replay
@@ -34,7 +36,7 @@ func FuzzAttackRecordReplay(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := NewRecord(res).Encode()
+		data, err := artifact.Encode(NewRecord(res))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -46,19 +48,19 @@ func FuzzAttackRecordReplay(f *testing.F) {
 	f.Add([]byte(`{"schema":"attack-record/v1","protocol":"sifter","n":4,"budget":2,"pop":2,"eval_trials":1,"confirm_trials":1,"shrink_budget":1,"max_slots":4096,"winner":{"n":4}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := DecodeRecord(data)
+		rec, err := artifact.Decode[Record](data)
 		if err != nil {
 			return // malformed must error, not panic — reaching here is the check
 		}
-		enc, err := rec.Encode()
+		enc, err := artifact.Encode(rec)
 		if err != nil {
 			t.Fatalf("decoded record failed to encode: %v", err)
 		}
-		back, err := DecodeRecord(enc)
+		back, err := artifact.Decode[Record](enc)
 		if err != nil {
 			t.Fatalf("re-encoded record failed to decode: %v", err)
 		}
-		enc2, err := back.Encode()
+		enc2, err := artifact.Encode(back)
 		if err != nil {
 			t.Fatalf("round-tripped record failed to encode: %v", err)
 		}
@@ -73,7 +75,7 @@ func FuzzAttackRecordReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("replay of a valid record errored: %v", err)
 		}
-		fd, err := first.Encode()
+		fd, err := artifact.Encode(first)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +83,7 @@ func FuzzAttackRecordReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sd, err := second.Encode()
+		sd, err := artifact.Encode(second)
 		if err != nil {
 			t.Fatal(err)
 		}

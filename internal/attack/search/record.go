@@ -1,11 +1,6 @@
 package search
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
 
 // SchemaRecord is the schema tag of serialized attack-search artifacts.
 const SchemaRecord = "attack-record/v1"
@@ -44,10 +39,6 @@ type Record struct {
 	Confirm   Score            `json:"confirm"`
 	WhiteBox  Score            `json:"whitebox"`
 	Baselines map[string]Score `json:"baselines,omitempty"`
-
-	// SavedPath is where Save last wrote the artifact; informational
-	// only, never serialized.
-	SavedPath string `json:"-"`
 }
 
 // NewRecord captures a completed search as an artifact.
@@ -123,65 +114,11 @@ func (r *Record) Validate() error {
 	return r.Winner.Validate()
 }
 
-// Encode serializes the artifact.
-func (r *Record) Encode() ([]byte, error) {
-	if r.Schema == "" {
-		r.Schema = SchemaRecord
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// DecodeRecord parses and validates a serialized artifact.
-func DecodeRecord(data []byte) (*Record, error) {
-	var r Record
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("search: parsing record: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Save writes the artifact to path, creating parent directories.
-func (r *Record) Save(path string) error {
-	data, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	r.SavedPath = path
-	return nil
-}
-
-// LoadRecord reads and validates an artifact from path.
-func LoadRecord(path string) (*Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRecord(data)
-}
-
 // Replay re-runs the record's search from its configuration and returns
 // the freshly produced record. A search is a pure function of its
 // configuration, so the result must match the original field for field;
-// callers verify by comparing Encode outputs byte for byte. parallelism
-// only changes wall-clock time (0 = NumCPU).
+// callers verify by comparing artifact.Encode outputs byte for byte.
+// parallelism only changes wall-clock time (0 = NumCPU).
 func Replay(r *Record, parallelism int) (*Record, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err

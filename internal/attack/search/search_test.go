@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
@@ -34,7 +35,7 @@ func mustSearch(t *testing.T, cfg Config) *Result {
 
 func encodeRecord(t *testing.T, res *Result) []byte {
 	t.Helper()
-	data, err := NewRecord(res).Encode()
+	data, err := artifact.Encode(NewRecord(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +184,15 @@ func TestShrinkPreservesFitness(t *testing.T) {
 func TestRecordRoundTrip(t *testing.T) {
 	res := mustSearch(t, smallConfig("priority"))
 	rec := NewRecord(res)
-	data, err := rec.Encode()
+	data, err := artifact.Encode(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeRecord(data)
+	back, err := artifact.Decode[Record](data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := back.Encode()
+	again, err := artifact.Encode(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := replayed.Encode()
+	rd, err := artifact.Encode(replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +218,10 @@ func TestRecordSaveLoad(t *testing.T) {
 	res := mustSearch(t, smallConfig("sifter"))
 	rec := NewRecord(res)
 	path := t.TempDir() + "/sub/rec.json"
-	if err := rec.Save(path); err != nil {
+	if err := artifact.Save(path, rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.SavedPath != path {
-		t.Fatalf("SavedPath = %q", rec.SavedPath)
-	}
-	back, err := LoadRecord(path)
+	back, err := artifact.Load[Record](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +234,7 @@ func TestRecordSaveLoad(t *testing.T) {
 // records must error, never panic.
 func TestRecordRejectsMalformed(t *testing.T) {
 	res := mustSearch(t, smallConfig("sifter"))
-	good, err := NewRecord(res).Encode()
+	good, err := artifact.Encode(NewRecord(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +251,7 @@ func TestRecordRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeRecord([]byte(tc.data)); err == nil {
+			if _, err := artifact.Decode[Record]([]byte(tc.data)); err == nil {
 				t.Fatalf("malformed record accepted: %s", tc.data)
 			}
 		})

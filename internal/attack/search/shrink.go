@@ -1,13 +1,17 @@
 package search
 
-import "github.com/oblivious-consensus/conciliator/internal/fault"
+import (
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
+	"github.com/oblivious-consensus/conciliator/internal/fault"
+)
 
 // shrinkGenome ddmin-reduces the winning genome while preserving its
 // evaluation-seed fitness: a reduction is kept only if the reduced
 // genome's StepsMean on the same seeds is at least target. Passes, in
 // order: drop the fault schedule wholesale, delete prefix chunks
-// (halving granularity, like fault.Shrink), delete whole segments,
-// collapse the weights to uniform, halve segment lengths toward 1, and
+// (artifact.DeleteChunks), delete whole segments one at a time, collapse
+// the weights to uniform, halve segment lengths toward 1
+// (artifact.HalveEach), and
 // finally hand a surviving fault schedule to fault.Shrink. The search is
 // deterministic and spends at most budget evaluations; it returns the
 // reduced genome and the evaluations spent.
@@ -33,24 +37,11 @@ func shrinkGenome(ev *evaluator, g *Genome, target float64, seeds []seedPair, bu
 		}
 	}
 
-	for chunk := (len(cur.Prefix) + 1) / 2; chunk >= 1 && len(cur.Prefix) > 0; chunk /= 2 {
-		for start := 0; start < len(cur.Prefix); {
-			end := start + chunk
-			if end > len(cur.Prefix) {
-				end = len(cur.Prefix)
-			}
-			cand := cur.Clone()
-			cand.Prefix = append(append([]int(nil), cur.Prefix[:start]...), cur.Prefix[end:]...)
-			if keeps(cand) {
-				cur = cand // next chunk slid into start
-			} else {
-				start = end
-			}
-		}
-		if chunk == 1 {
-			break
-		}
-	}
+	cur.Prefix = artifact.DeleteChunks(cur.Prefix, func(prefix []int) bool {
+		cand := cur.Clone()
+		cand.Prefix = prefix
+		return keeps(cand)
+	})
 
 	for i := 0; i < len(cur.Segments); {
 		cand := cur.Clone()
@@ -70,16 +61,16 @@ func shrinkGenome(ev *evaluator, g *Genome, target float64, seeds []seedPair, bu
 		}
 	}
 
-	for i := range cur.Segments {
-		for cur.Segments[i].Len > 1 {
-			cand := cur.Clone()
-			cand.Segments[i].Len = cur.Segments[i].Len / 2
-			if !keeps(cand) {
-				break
-			}
-			cur = cand
-		}
+	segLen := func(sg Segment) (int64, int64) { return int64(sg.Len), 1 }
+	withLen := func(sg Segment, n int64) Segment {
+		sg.Len = int(n)
+		return sg
 	}
+	cur.Segments = artifact.HalveEach(cur.Segments, segLen, withLen, func(segs []Segment) bool {
+		cand := cur.Clone()
+		cand.Segments = segs
+		return keeps(cand)
+	})
 
 	if cur.Fault != nil && evals < budget {
 		// fault.Shrink caps its own repro invocations at the remaining

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
@@ -342,72 +343,30 @@ func (r RetryPolicy) validate() error {
 
 // ShrinkChaos reduces a failing crash schedule in the ddmin style of
 // fault.Shrink: repro must return true when the failure reproduces under
-// the candidate schedule. Chunk deletion first (halves down to single
-// events, repeated to a fixed point), then downtime minimization by
-// halving toward a 1us floor. Crash times are left untouched — moving a
-// crash in virtual time changes which execution it perturbs, which is
-// not a reduction. budget caps repro invocations; the search is
-// deterministic, so a shrunk artifact replays exactly like the schedule
-// it came from.
+// the candidate schedule. Chunk deletion first (artifact.DeleteChunks;
+// the empty schedule is never offered), then downtime minimization by
+// halving toward a 1us floor (artifact.HalveEach). Crash times are left
+// untouched — moving a crash in virtual time changes which execution it
+// perturbs, which is not a reduction. budget caps repro invocations; the
+// search is deterministic, so a shrunk artifact replays exactly like the
+// schedule it came from.
 func ShrinkChaos(events []ChaosEvent, budget int, repro func([]ChaosEvent) bool) []ChaosEvent {
 	if len(events) == 0 {
 		return events
 	}
-	cur := normalizeChaos(events)
 	calls := 0
-	try := func(cand []ChaosEvent) bool {
-		if calls >= budget {
+	keep := func(cand []ChaosEvent) bool {
+		if len(cand) == 0 || calls >= budget {
 			return false
 		}
 		calls++
 		return repro(cand)
 	}
-
-	// Phase 1: chunk deletion.
-	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
-		reduced := false
-		for start := 0; start < len(cur); {
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
-			cand := make([]ChaosEvent, 0, len(cur)-(end-start))
-			cand = append(cand, cur[:start]...)
-			cand = append(cand, cur[end:]...)
-			if len(cand) > 0 && try(cand) {
-				cur = cand
-				reduced = true
-				// Keep start in place: the next chunk slid into it.
-			} else {
-				start = end
-			}
-		}
-		if calls >= budget {
-			return cur
-		}
-		if chunk == 1 {
-			if !reduced {
-				break
-			}
-			continue
-		}
-		chunk /= 2
+	cur := artifact.DeleteChunks(normalizeChaos(events), keep)
+	size := func(e ChaosEvent) (int64, int64) { return int64(e.Down), int64(time.Microsecond) }
+	resize := func(e ChaosEvent, down int64) ChaosEvent {
+		e.Down = time.Duration(down)
+		return e
 	}
-
-	// Phase 2: downtime minimization.
-	for i := range cur {
-		for cur[i].Down > time.Microsecond && calls < budget {
-			cand := append([]ChaosEvent(nil), cur...)
-			next := cand[i].Down / 2
-			if next < time.Microsecond {
-				next = time.Microsecond
-			}
-			cand[i].Down = next
-			if !try(cand) {
-				break
-			}
-			cur = cand
-		}
-	}
-	return cur
+	return artifact.HalveEach(cur, size, resize, keep)
 }

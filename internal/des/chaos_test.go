@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 )
 
 func TestChaosReplayDeterminism(t *testing.T) {
@@ -360,20 +362,20 @@ func TestFaultReproRoundTripAndReplay(t *testing.T) {
 	}
 
 	repro := BuildRepro(c, shrunk, final.Violations)
-	data, err := repro.Encode()
+	data, err := artifact.Encode(repro)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	back, err := DecodeFaultRepro(data)
+	back, err := artifact.Decode[FaultRepro](data)
 	if err != nil {
-		t.Fatalf("DecodeFaultRepro: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if _, err := back.Replay(); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 
 	// Byte-stability: encode → decode → encode is the identity.
-	data2, err := back.Encode()
+	data2, err := artifact.Encode(back)
 	if err != nil {
 		t.Fatalf("re-Encode: %v", err)
 	}
@@ -390,12 +392,12 @@ func TestFaultReproRoundTripAndReplay(t *testing.T) {
 
 	// Save/Load round trip through the filesystem.
 	path := t.TempDir() + "/repro.json"
-	if err := repro.Save(path); err != nil {
+	if err := artifact.Save(path, repro); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := LoadFaultRepro(path)
+	loaded, err := artifact.Load[FaultRepro](path)
 	if err != nil {
-		t.Fatalf("LoadFaultRepro: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	if _, err := loaded.Replay(); err != nil {
 		t.Fatalf("replay of loaded artifact: %v", err)

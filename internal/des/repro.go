@@ -1,10 +1,7 @@
 package des
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"time"
 
@@ -61,10 +58,6 @@ type FaultRepro struct {
 	// Violations are the monitor firings the original run produced, for
 	// the replayer to confirm byte-for-byte.
 	Violations []fault.Violation `json:"violations"`
-
-	// SavedPath is where Save last wrote the artifact; informational
-	// only, never serialized.
-	SavedPath string `json:"-"`
 }
 
 // BuildRepro captures a failing run: the configuration with its chaos
@@ -196,58 +189,4 @@ func (r *FaultRepro) Replay() (Result, error) {
 			len(r.Violations), len(res.Violations))
 	}
 	return res, nil
-}
-
-// Encode serializes the artifact.
-func (r *FaultRepro) Encode() ([]byte, error) {
-	if r.Schema == "" {
-		r.Schema = SchemaFaultRepro
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// DecodeFaultRepro parses and validates a serialized artifact.
-func DecodeFaultRepro(data []byte) (*FaultRepro, error) {
-	var r FaultRepro
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("des: parsing fault repro: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Save writes the artifact to path, creating parent directories.
-func (r *FaultRepro) Save(path string) error {
-	data, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	r.SavedPath = path
-	return nil
-}
-
-// LoadFaultRepro reads and validates an artifact from path.
-func LoadFaultRepro(path string) (*FaultRepro, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeFaultRepro(data)
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 
 	"github.com/oblivious-consensus/conciliator/internal/adoptcommit"
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/conciliator"
 	"github.com/oblivious-consensus/conciliator/internal/consensus"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
@@ -295,7 +297,7 @@ func runFaultCell(cfg FaultSweepConfig, cell FaultCell, master uint64) FaultCell
 				if cfg.ReproDir != "" {
 					name := fmt.Sprintf("%s_%s_%s_%s_t%d.json", cell.Semantics, cell.Proc, cell.Kind, cell.Workload, t)
 					path := filepath.Join(cfg.ReproDir, name)
-					if err := r.Save(path); err != nil {
+					if err := artifact.Save(path, r); err != nil {
 						panic(fmt.Sprintf("experiment: saving repro: %v", err))
 					}
 					r.SavedPath = path
@@ -339,8 +341,11 @@ func shrinkTrial(spec FaultTrialSpec, violations []fault.Violation, budget int) 
 	}
 }
 
-// ReplayRepro re-executes a repro artifact's trial and reports whether
-// a violation reproduced.
+// ReplayRepro re-executes a repro artifact's trial and confirms it
+// reproduces the recorded violations exactly. A controlled run is a pure
+// function of the artifact's fields, so any divergence is a determinism
+// regression or a stale artifact and is reported as an error (with the
+// replayed result, for the caller to show).
 func ReplayRepro(r *fault.Repro) (FaultTrialResult, error) {
 	if err := r.Validate(); err != nil {
 		return FaultTrialResult{}, err
@@ -358,7 +363,7 @@ func ReplayRepro(r *fault.Repro) (FaultTrialResult, error) {
 	if !known {
 		return FaultTrialResult{}, fmt.Errorf("experiment: repro names unknown workload %q", r.Workload)
 	}
-	return RunFaultTrial(FaultTrialSpec{
+	res := RunFaultTrial(FaultTrialSpec{
 		N:         r.N,
 		SchedKind: kind,
 		SchedSeed: r.SchedSeed,
@@ -366,7 +371,15 @@ func ReplayRepro(r *fault.Repro) (FaultTrialResult, error) {
 		MaxSlots:  r.MaxSlots,
 		Workload:  r.Workload,
 		Fault:     r.Fault,
-	}), nil
+	})
+	switch {
+	case len(res.Violations) == 0:
+		return res, errors.New("experiment: replay produced no violations: artifact is stale or the bug is fixed")
+	case !reflect.DeepEqual(res.Violations, r.Violations):
+		return res, fmt.Errorf("experiment: replay diverged: recorded %d violations, got %d (determinism regression or stale artifact)",
+			len(r.Violations), len(res.Violations))
+	}
+	return res, nil
 }
 
 // e17FaultSweep renders a reduced fault matrix as an experiment table:

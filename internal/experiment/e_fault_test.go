@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/fault"
 	"github.com/oblivious-consensus/conciliator/internal/sched"
 )
@@ -99,7 +100,7 @@ func TestFaultSweepShrinksAndReplays(t *testing.T) {
 		if r.SavedPath == "" {
 			t.Fatal("repro not saved")
 		}
-		loaded, err := fault.LoadRepro(r.SavedPath)
+		loaded, err := artifact.Load[fault.Repro](r.SavedPath)
 		if err != nil {
 			t.Fatalf("loading %s: %v", r.SavedPath, err)
 		}

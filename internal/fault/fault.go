@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/xrand"
 )
 
@@ -257,11 +258,7 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 // Encode serializes the schedule; Decode(Encode(s)) equals s
 // byte-for-byte once normalized.
 func (s *Schedule) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(scheduleJSON{Schema: SchemaFault, N: s.n, Events: s.events}, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return artifact.Encode(s)
 }
 
 // Decode parses a serialized schedule, validating schema and events.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/oblivious-consensus/conciliator/internal/artifact"
 	"github.com/oblivious-consensus/conciliator/internal/memory"
 )
 
@@ -210,6 +211,7 @@ func TestMonitoredMaxerCleanInner(t *testing.T) {
 func TestReproValidateAndRoundTrip(t *testing.T) {
 	s := mustSchedule(t, 3, []Event{{Kind: StaleRead, Pid: 0, Op: 1, Arg: 1}})
 	r := &Repro{
+		Schema:     SchemaRepro,
 		N:          3,
 		Sched:      "round-robin",
 		SchedSeed:  7,
@@ -218,11 +220,11 @@ func TestReproValidateAndRoundTrip(t *testing.T) {
 		Fault:      s,
 		Violations: []Violation{{Monitor: "maxreg-monotonic", Detail: "test"}},
 	}
-	data, err := r.Encode()
+	data, err := artifact.Encode(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DecodeRepro(data)
+	r2, err := artifact.Decode[Repro](data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestReproValidateAndRoundTrip(t *testing.T) {
 
 	bad := *r
 	bad.Violations = nil
-	if _, err := bad.Encode(); err == nil {
+	if _, err := artifact.Encode(&bad); err == nil {
 		t.Error("repro without violations accepted")
 	}
 	bad = *r
@@ -241,7 +243,7 @@ func TestReproValidateAndRoundTrip(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("repro with process-count mismatch accepted")
 	}
-	if _, err := DecodeRepro([]byte(`{"schema":"nope"}`)); err == nil {
+	if _, err := artifact.Decode[Repro]([]byte(`{"schema":"nope"}`)); err == nil {
 		t.Error("wrong schema accepted")
 	}
 }

@@ -1,11 +1,6 @@
 package fault
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
 
 // SchemaRepro is the schema tag of serialized repro artifacts.
 const SchemaRepro = "conciliator-fault-repro/v1"
@@ -37,8 +32,8 @@ type Repro struct {
 	// the replayer to confirm.
 	Violations []Violation `json:"violations"`
 
-	// SavedPath is where Save last wrote the artifact; informational
-	// only, never serialized.
+	// SavedPath is where the fault sweep wrote the artifact (empty when
+	// it wrote none); informational only, never serialized.
 	SavedPath string `json:"-"`
 }
 
@@ -63,54 +58,4 @@ func (r *Repro) Validate() error {
 		return fmt.Errorf("fault: repro records no violations to reproduce")
 	}
 	return r.Fault.Validate()
-}
-
-// Encode serializes the artifact.
-func (r *Repro) Encode() ([]byte, error) {
-	if r.Schema == "" {
-		r.Schema = SchemaRepro
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// DecodeRepro parses and validates a serialized artifact.
-func DecodeRepro(data []byte) (*Repro, error) {
-	var r Repro
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("fault: parsing repro: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Save writes the artifact to path, creating parent directories.
-func (r *Repro) Save(path string) error {
-	data, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadRepro reads and validates an artifact from path.
-func LoadRepro(path string) (*Repro, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRepro(data)
 }

@@ -1,14 +1,15 @@
 package fault
 
+import "github.com/oblivious-consensus/conciliator/internal/artifact"
+
 // Shrink reduces a failing fault schedule to a smaller one that still
 // fails, in the delta-debugging style: repro must return true when the
 // violation reproduces under the candidate schedule. The search first
-// deletes event chunks (halves, then quarters, down to single events,
-// repeating at granularity one until a fixed point), then minimizes the
+// deletes event chunks (artifact.DeleteChunks), then minimizes the
 // surviving events' magnitudes (stutter/stall lengths and staleness
-// depths) by halving toward their floors. Event clocks (Slot, Op) are
-// left untouched: moving a fault in time changes which execution it
-// perturbs, which is not a reduction.
+// depths) by halving toward their floors (artifact.HalveEach). Event
+// clocks (Slot, Op) are left untouched: moving a fault in time changes
+// which execution it perturbs, which is not a reduction.
 //
 // budget caps the number of repro invocations; when it runs out the
 // best schedule found so far is returned. Shrink never returns nil for
@@ -22,80 +23,36 @@ func Shrink(s *Schedule, budget int, repro func(*Schedule) bool) *Schedule {
 	if s == nil || s.Len() == 0 {
 		return s
 	}
-	n := s.n
-	cur := s.Events()
 	best := s
 	calls := 0
-	try := func(events []Event) *Schedule {
+	keep := func(events []Event) bool {
 		if calls >= budget {
-			return nil
+			return false
 		}
 		calls++
-		cand, err := NewSchedule(n, events)
+		cand, err := NewSchedule(s.n, events)
 		if err != nil || !repro(cand) {
-			return nil
+			return false
 		}
-		return cand
+		// Adopt the canonical order: halving an Arg can reorder events
+		// that tie on every other sort key.
+		copy(events, cand.events)
+		best = cand
+		return true
 	}
-
-	// Phase 1: chunk deletion.
-	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
-		reduced := false
-		for start := 0; start < len(cur); {
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
-			cand := make([]Event, 0, len(cur)-(end-start))
-			cand = append(cand, cur[:start]...)
-			cand = append(cand, cur[end:]...)
-			if sc := try(cand); sc != nil {
-				cur, best = sc.Events(), sc
-				reduced = true
-				// Keep start in place: the next chunk slid into it.
-			} else {
-				start = end
-			}
+	events := artifact.DeleteChunks(s.Events(), keep)
+	// Stutter/stall lengths and stale-scan depths floor at 1; stale-read
+	// depths floor at 0 (the null read).
+	size := func(e Event) (int64, int64) {
+		if e.Kind == StaleRead {
+			return e.Arg, 0
 		}
-		if calls >= budget {
-			return best
-		}
-		if chunk == 1 {
-			if !reduced {
-				break
-			}
-			// Single-event deletions still landing: go around again.
-			continue
-		}
-		chunk /= 2
+		return e.Arg, 1
 	}
-
-	// Phase 2: magnitude minimization. Stutter/stall lengths and
-	// stale-scan depths floor at 1; stale-read depths floor at 0 (the
-	// null read).
-	for i := 0; i < len(cur); i++ {
-		floor := int64(1)
-		if cur[i].Kind == StaleRead {
-			floor = 0
-		}
-		for cur[i].Arg > floor {
-			cand := append([]Event(nil), cur...)
-			next := cand[i].Arg / 2
-			if next < floor {
-				next = floor
-			}
-			cand[i].Arg = next
-			sc := try(cand)
-			if sc == nil {
-				break
-			}
-			// NewSchedule re-sorts, but only Arg changed and Arg is the
-			// final sort key, so index i still addresses the same event.
-			cur, best = sc.Events(), sc
-		}
-		if calls >= budget {
-			break
-		}
+	resize := func(e Event, arg int64) Event {
+		e.Arg = arg
+		return e
 	}
+	artifact.HalveEach(events, size, resize, keep)
 	return best
 }
