@@ -313,6 +313,13 @@ func (m *FlatConsensus) Step(pid int, rng *xrand.Rand) bool {
 	return m.Complete(pid, m.mem.Apply(m.Issue(pid)), rng)
 }
 
+// Memory returns the shared memory Step applies operations to. Every
+// cell of a phase is addressable from the moment any process enters
+// that phase, so an executor that applies the ops Issue returns itself,
+// as the message-passing simulator's memory server does, can apply them
+// here instead of keeping a memory of its own.
+func (m *FlatConsensus) Memory() *memory.Dense { return m.mem }
+
 // Complete consumes the reply to pid's issued operation and reports
 // whether pid decided. Entering the next phase draws its persona from
 // rng, at the same position in pid's stream as the coroutine.

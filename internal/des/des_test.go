@@ -141,6 +141,34 @@ func TestRunReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunEventOrderGolden pins two mid-size runs to figures recorded
+// with the binary-heap event queue this engine used before its radix
+// queue. The figures depend on the exact pop order — every latency and
+// loss draw is made in event order — so a queue that reorders even one
+// pair of events fails here rather than only in the E18 sweep.
+func TestRunEventOrderGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cfg                          Config
+		events, sent, retrans, steps int64
+		virtual                      time.Duration
+	}{
+		{Config{N: 10_000, Protocol: ProtoSifter, Seed: 1},
+			480_000, 480_000, 0, 240_000, 81_132_908},
+		{Config{N: 5_000, Protocol: ProtoPriorityMax, Seed: 2, Net: NetConfig{Loss: 0.05}},
+			332_675, 227_418, 11_568, 105_000, 564_231_671},
+	} {
+		res, err := Run(tc.cfg)
+		requireClean(t, res, err)
+		if res.Events != tc.events || res.MsgsSent != tc.sent || res.Retransmits != tc.retrans ||
+			res.TotalSteps() != tc.steps || res.VirtualTime != tc.virtual {
+			t.Errorf("%s n=%d loss=%g: events %d, sent %d, retransmits %d, steps %d, virtual %d ns; "+
+				"want %d, %d, %d, %d, %d ns", tc.cfg.Protocol, tc.cfg.N, tc.cfg.Net.Loss,
+				res.Events, res.MsgsSent, res.Retransmits, res.TotalSteps(), int64(res.VirtualTime),
+				tc.events, tc.sent, tc.retrans, tc.steps, int64(tc.virtual))
+		}
+	}
+}
+
 func TestRunWithLossRetransmits(t *testing.T) {
 	res, err := Run(Config{
 		N:        32,

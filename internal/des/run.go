@@ -80,6 +80,7 @@ type runner struct {
 func Run(cfg Config) (Result, error) {
 	res, err := run(cfg, nil)
 	sim.AddSteps(res.TotalSteps())
+	observeRun(res)
 	return res, err
 }
 
@@ -117,7 +118,7 @@ func run(cfg Config, hook func(*runner)) (Result, error) {
 	d := &runner{
 		cfg:      cfg,
 		net:      newNetwork(cfg.Net, cfg.N, netRng),
-		srv:      newServer(cfg.N, mon),
+		srv:      newServer(cfg.N, core.Memory(), mon),
 		mon:      mon,
 		procs:    make([]proc, cfg.N),
 		core:     core,
@@ -174,7 +175,8 @@ func run(cfg Config, hook func(*runner)) (Result, error) {
 	}
 	// Crash events enter the queue after the initial sends, so a crash
 	// at t=0 still lands after every process issued its first request —
-	// deterministically, via the (at, seq) tiebreak.
+	// deterministically, since events due at the same time pop in push
+	// order.
 	for _, e := range chaos {
 		d.q.push(e.At.Nanoseconds(), e.Target, evCrash,
 			message{Op: memory.Op{Key: uint64(e.Down.Nanoseconds()), Val: int64(e.Restart)}})

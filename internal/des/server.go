@@ -23,30 +23,26 @@ type message struct {
 	inc uint32
 }
 
-// opCtx is the memory.Context under which the server applies operations:
-// free (steps are accounted at the client as RPC round trips), exclusive
-// (the engine is single-threaded, so the objects' direct representation
-// is safe), and carrying the originating process id so the fault
-// monitors attribute observations correctly.
+// opCtx is the memory.Context under which the server applies max-register
+// operations: free (steps are accounted at the client as RPC round
+// trips), exclusive (the engine is single-threaded, so the objects'
+// direct representation is safe), and carrying the originating process
+// id so the fault monitors attribute observations correctly. The server
+// owns one and passes it by pointer, so no op boxes a context.
 type opCtx struct{ pid int }
 
-func (opCtx) Step()           {}
-func (opCtx) Exclusive() bool { return true }
-func (c opCtx) ID() int       { return c.pid }
-
-// object is one shared object of the core's object-index space, created
-// on first use as the kind of object the addressing op names: a register
-// (conciliator round registers of the sifters, adopt-commit flags, clean
-// and dirty — presence doubles as the flag bit) or a monitored max
-// register (priority-max rounds). Both hold int64 values: persona ids
-// and adopt-commit values.
-type object struct {
-	reg *memory.Register[int64]
-	max *fault.MonitoredMaxer[int64]
-}
+func (*opCtx) Step()           {}
+func (*opCtx) Exclusive() bool { return true }
+func (c *opCtx) ID() int       { return c.pid }
 
 // server is the memory node: it owns every shared object and applies
-// each logical operation exactly once. Clients are stop-and-wait with
+// each logical operation exactly once. The objects live in the
+// core's object-index space: registers (conciliator round registers of
+// the sifters, adopt-commit flags, clean and dirty — presence doubles as
+// the flag bit) are cells of the core's own memory.Dense, the memory the
+// flat engine steps, and max registers (priority-max rounds) are
+// monitored max registers, created on first use, so the linearizability
+// monitor watches every one. Clients are stop-and-wait with
 // per-process (incarnation, operation-sequence) pairs, so dedup needs
 // only the last applied pair and its reply per process: a request with
 // the same sequence is a retransmission (re-send the cached reply — the
@@ -58,8 +54,10 @@ type object struct {
 // lower incarnation is a dead process's straggler and is fenced; a
 // higher one resets the session.
 type server struct {
-	objs []object
+	mem  *memory.Dense
+	maxs []*fault.MonitoredMaxer[int64]
 	mon  *fault.Monitor
+	ctx  opCtx
 
 	lastInc  []uint32
 	lastSeq  []uint32
@@ -78,8 +76,11 @@ type server struct {
 	wipes int64
 }
 
-func newServer(n int, mon *fault.Monitor) *server {
+// newServer returns a server for n processes whose registers are the
+// cells of mem.
+func newServer(n int, mem *memory.Dense, mon *fault.Monitor) *server {
 	return &server{
+		mem:     mem,
 		mon:     mon,
 		lastInc: make([]uint32, n),
 		lastSeq: make([]uint32, n),
@@ -87,27 +88,14 @@ func newServer(n int, mon *fault.Monitor) *server {
 	}
 }
 
-func (s *server) object(i int32) *object {
-	for int(i) >= len(s.objs) {
-		s.objs = append(s.objs, object{})
-	}
-	return &s.objs[i]
-}
-
-func (s *server) reg(i int32) *memory.Register[int64] {
-	o := s.object(i)
-	if o.reg == nil {
-		o.reg = memory.NewRegister[int64]()
-	}
-	return o.reg
-}
-
 func (s *server) maxReg(i int32) *fault.MonitoredMaxer[int64] {
-	o := s.object(i)
-	if o.max == nil {
-		o.max = fault.NewMonitoredMaxer[int64](memory.NewMaxRegister[int64](), s.mon)
+	for int(i) >= len(s.maxs) {
+		s.maxs = append(s.maxs, nil)
 	}
-	return o.max
+	if s.maxs[i] == nil {
+		s.maxs[i] = fault.NewMonitoredMaxer[int64](memory.NewMaxRegister[int64](), s.mon)
+	}
+	return s.maxs[i]
 }
 
 // handle processes one incoming request and routes the reply back
@@ -149,8 +137,7 @@ func (s *server) handle(q *eventQueue, nw *network, now int64, m message) {
 }
 
 // apply executes one logical operation against the shared objects. The
-// server implements the operations of the register-model cores: register
-// values are the ops' Val (no core in this model writes a register key).
+// server implements the operations of the register-model cores.
 func (s *server) apply(m message) message {
 	r := message{sync: m.sync, opSeq: m.opSeq, inc: m.inc}
 	if m.sync {
@@ -160,16 +147,16 @@ func (s *server) apply(m message) message {
 		// sequence numbers.
 		return r
 	}
-	ctx := opCtx{pid: int(m.from)}
 	switch m.Kind {
-	case memory.OpWrite:
-		s.reg(m.Obj).Write(ctx, m.Val)
-	case memory.OpRead:
-		r.Val, r.ok = s.reg(m.Obj).Read(ctx)
+	case memory.OpWrite, memory.OpRead:
+		rep := s.mem.Apply(m.Op)
+		r.ok, r.Key, r.Val = rep.OK, rep.Key, rep.Val
 	case memory.OpWriteMax:
-		s.maxReg(m.Obj).WriteMax(ctx, m.Key, m.Val)
+		s.ctx.pid = int(m.from)
+		s.maxReg(m.Obj).WriteMax(&s.ctx, m.Key, m.Val)
 	case memory.OpReadMax:
-		r.Key, r.Val, r.ok = s.maxReg(m.Obj).ReadMax(ctx)
+		s.ctx.pid = int(m.from)
+		r.Key, r.Val, r.ok = s.maxReg(m.Obj).ReadMax(&s.ctx)
 	default:
 		panic(fmt.Sprintf("des: the memory server does not implement op kind %d", m.Kind))
 	}
@@ -184,7 +171,8 @@ func (s *server) apply(m message) message {
 // finding, not a bug.
 func (s *server) wipe() {
 	s.finish()
-	s.objs = nil
+	s.mem.Reset()
+	s.maxs = nil
 	for i := range s.lastSeq {
 		s.lastInc[i], s.lastSeq[i], s.lastRep[i] = 0, 0, message{}
 	}
@@ -194,9 +182,9 @@ func (s *server) wipe() {
 // finish runs the per-object linearizability checks of the monitored max
 // registers.
 func (s *server) finish() {
-	for _, o := range s.objs {
-		if o.max != nil {
-			o.max.Finish()
+	for _, m := range s.maxs {
+		if m != nil {
+			m.Finish()
 		}
 	}
 }
